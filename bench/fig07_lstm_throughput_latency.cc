@@ -8,8 +8,8 @@
 // at low load is similar but peak throughput is much lower.
 //
 // The real-compute sweep at the end additionally compares pipeline_depth 1
-// (drain-then-refill worker streams) against depth 2 (watermark refill +
-// overlapped gather/execute/scatter), runs the sharded-manager scaling
+// (drain-then-refill worker streams) against depth 2 (watermark refill),
+// runs the sharded-manager scaling
 // points (closed-loop batch at 4 workers, shards {1, 2}; rate_rps = 0 rows)
 // and writes machine-readable rows to BENCH_fig07.json for CI regression
 // tracking (tools/compare_bench.py, including the --assert-ratio gate on
@@ -45,7 +45,7 @@ struct Fig07Row {
   double p99_ms = 0.0;
   double achieved_rps = 0.0;
   double tasks_per_sec = 0.0;  // manager+worker task throughput over the run
-  double worker_idle_ms = 0.0;  // total exec-thread idle time over the run
+  double worker_idle_ms = 0.0;  // total worker-thread idle time over the run
   int64_t tasks = 0;
   int64_t requests = 0;
   int64_t steals = 0;    // requests migrated across shards

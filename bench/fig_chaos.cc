@@ -10,7 +10,7 @@
 //   * hang    — worker 0 sleeps 100ms inside one task's execution. Recovery
 //     is bounded below by the hang (the in-flight task completes on wake;
 //     it is never reclaimed, preserving exactly-once) plus one probe;
-//   * exit    — worker 0's exec thread exits while holding a task. The
+//   * exit    — worker 0's thread exits while holding a task. The
 //     task is reclaimed from the in-flight copy and requeued, the corpse
 //     joined, a replacement thread spawned, and the worker re-admitted.
 //
@@ -261,7 +261,7 @@ int Run(bool smoke, double recovery_budget_ms, const std::string& out_path) {
       ++failures;
     }
     if (row.mode == "exit" && row.respawns < 1) {
-      std::fprintf(stderr, "FAIL [exit]: dead exec thread was never respawned\n");
+      std::fprintf(stderr, "FAIL [exit]: dead worker thread was never respawned\n");
       ++failures;
     }
   }

@@ -69,10 +69,12 @@ void BatchAssembler::GatherInputs(const BatchedTask& task,
   const std::vector<int64_t> rows(static_cast<size_t>(batch), 0);  // sources are [1, ...]
   for (int slot = 0; slot < def.NumInputs(); ++slot) {
     const CellInputSpec& slot_spec = def.input_spec(slot);
-    Tensor zero_row;  // lazily built substitute source for poisoned rows
+    // Lazily built substitute source for poisoned rows. A default Tensor is
+    // rank 0 with one element, so rank is what marks it unbuilt.
+    Tensor zero_row;
     for (int i = 0; i < batch; ++i) {
       if (poisoned != nullptr && (*poisoned)[static_cast<size_t>(i)] != 0) {
-        if (zero_row.NumElements() == 0) {
+        if (zero_row.shape().Rank() == 0) {
           std::vector<int64_t> row_dims{1};
           for (int64_t d : slot_spec.row_shape.dims()) {
             row_dims.push_back(d);

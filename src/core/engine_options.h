@@ -45,11 +45,11 @@ struct AdmissionOptions {
 };
 
 // Worker failure domains (DESIGN.md "Worker failure domains"; Server
-// only). When `health_watchdog` is on, stager and exec threads stamp
-// per-worker heartbeats and a watchdog thread classifies each worker as
+// only). When `health_watchdog` is on, worker threads stamp per-worker
+// heartbeats and a watchdog thread classifies each worker as
 // healthy / slow / hung / dead, quarantines flagged workers (their
-// in-flight tasks are requeued through the fault-recovery machinery, so
-// no request is lost — only delayed), respawns dead exec threads, and
+// queued tasks are requeued through the fault-recovery machinery, so
+// no request is lost — only delayed), respawns dead worker threads, and
 // re-admits recovered workers with exponential probe backoff. Off by
 // default: the disabled path takes no clock reads and no extra atomic
 // stores, and is bitwise-identical to the pre-watchdog server.
@@ -84,7 +84,7 @@ struct EngineOptions {
   // (real compute) on the Server, "sim" (virtual-time cost model) on
   // SimEngine. "null" completes every task with zero outputs after
   // null_latency_micros — a compute-free harness for scheduler and
-  // pipeline studies. "opencl" exists behind -DCB_WITH_OPENCL=ON (stub).
+  // pipeline studies.
   std::string backend;
   // NullBackend only: fixed per-task completion latency, microseconds.
   double null_latency_micros = 0.0;
@@ -128,8 +128,8 @@ struct EngineOptions {
   // NUMA-aware placement (DESIGN.md "NUMA-aware placement"; Server only —
   // the simulator has no threads to place). kNone (default) skips topology
   // discovery entirely and is bitwise-identical to the pre-NUMA server.
-  // kPin pins each worker's stager/exec pair (and its intra-task pool) to
-  // one node and aligns shard boundaries with node boundaries; kPinReplicate
+  // kPin pins each worker's thread (and its intra-task pool) to one
+  // node and aligns shard boundaries with node boundaries; kPinReplicate
   // additionally materializes node-local replicas of the pre-packed weight
   // panels. Pinning is best-effort: a node excluded by taskset/cgroups
   // leaves its workers unpinned but fully functional.

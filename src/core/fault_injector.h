@@ -15,7 +15,7 @@
 //
 // Separately from cell-execution faults, the injector carries *worker*
 // chaos modes for the watchdog's drills (DESIGN.md "Worker failure
-// domains"): a targeted worker hangs, exits its exec thread, or runs
+// domains"): a targeted worker hangs, exits its thread, or runs
 // slowed down. Decisions are keyed on (worker, per-worker stream seq), so
 // they too are independent of thread interleaving.
 
@@ -46,10 +46,10 @@ struct FaultInjectorOptions {
   // (hashed on (worker, seq, seed) — still deterministic).
   int64_t chaos_task_seq = -1;
   double chaos_rate = 0.0;
-  // Mode: the exec thread sleeps this long before executing the triggering
-  // task (a bounded hang; the task completes normally on wake).
+  // Mode: the worker thread sleeps this long before executing the
+  // triggering task (a bounded hang; the task completes normally on wake).
   double chaos_hang_micros = 0.0;
-  // Mode: the exec thread exits instead of executing the triggering task
+  // Mode: the worker thread exits instead of executing the triggering task
   // (a crash; only a health watchdog respawn brings the worker back).
   bool chaos_exit_thread = false;
   // Mode: from the triggering seq onward, every exec span on the target
@@ -120,8 +120,9 @@ class FaultInjector {
                             static_cast<uint64_t>(batch_size));
   }
 
-  // Worker-chaos decision for `task_seq` (the per-worker stream sequence
-  // assigned by the stager) on `worker`. Pure in (worker, seq, seed).
+  // Worker-chaos decision for `task_seq` (the per-worker stream sequence:
+  // the worker thread numbers the tasks it pops from 0, across respawns)
+  // on `worker`. Pure in (worker, seq, seed).
   WorkerChaos ChaosAt(int worker, int64_t task_seq) const {
     WorkerChaos chaos;
     if (worker != options_.chaos_worker || task_seq < 0) {

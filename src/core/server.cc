@@ -18,11 +18,11 @@ namespace batchmaker {
 
 namespace {
 
-// Hazard-set key for one (request, node) pair. Node indices are bounded by
+// Poison-set key for one (request, node) pair. Node indices are bounded by
 // graph size (well under 2^20) and request ids are sequential from 1, so
 // the packing cannot collide — a collision would be a correctness bug
-// (erasing one pair's key would unmask another's hazard).
-uint64_t HazardKey(RequestId request, int node) {
+// (erasing one pair's key would unpoison another's failed output).
+uint64_t PoisonKey(RequestId request, int node) {
   BM_CHECK_LT(node, 1 << 20);
   return (static_cast<uint64_t>(request) << 20) | static_cast<uint64_t>(node);
 }
@@ -43,79 +43,47 @@ const char* WorkerHealthName(WorkerHealth health) {
   return "unknown";
 }
 
-// Shared state of one worker's staging/execution thread pair.
+// Per-worker state shared by the worker thread (WorkerLoop), the owning
+// shard's manager and the watchdog.
 //
-// The staging thread pops tasks from the worker's FIFO task queue, waits
-// out the two hazards below, gathers the task's inputs into one of the two
-// staging arenas, and appends the staged task to `staged`. The execution
-// thread pops from `staged` in order, executes, resets the task's staging
-// arena, scatters, and retires the task's hazard keys. All shared fields
-// are guarded by `mu`; `cv` is signalled whenever either side makes
-// progress the other may be waiting on.
-//
-// Hazard 1 (read-after-write): within a FIFO stream, task t+1 may consume
-// outputs of task t that has not scattered yet (the scheduler satisfies
-// *internal* dependencies at schedule time, trusting stream order). The
-// stager must not gather an input row whose producer is in `unscattered` —
-// the (request, node) keys of every popped-but-not-yet-scattered task.
-// Keys are inserted after a task's gather (before the next pop) and erased
-// after its scatter, so the blocking condition only ever clears, never
-// reappears, while the stager waits.
-//
-// Hazard 2 (arena reuse): task seq gathers into staging[seq % 2], which is
-// reset by the execution thread right after task seq executes. The stager
-// may start gathering task seq only once task seq-2 has executed
-// (executed_seq >= seq - 2), i.e. its buffers are dead and the arena
-// recycled. This is what bounds staging memory to two tasks per worker.
+// The worker thread runs each task of its FIFO stream to the end — gather,
+// execute, scatter — before it pops the next, so task t has scattered
+// before task t+1 gathers: a consumer never reads a row its producer has
+// not written, and one staging arena, reset after every task, suffices.
 //
 // Failure poison (`failed_produced`): when a task fails to execute
 // (injected fault or a throwing cell), its entries' (request, node) keys go
-// here instead of `unscattered` — the nodes produced nothing, and later
-// tasks in this stream that consume them must not gather (there is nothing
-// to read) nor block forever on the hazard wait. The stager checks each
-// entry's inputs against this set to build the task's poisoned mask;
-// poisoned rows gather as zeros, are skipped by the scatter, and are
-// reported to the manager as failed entries (a cascade). Keys are purged
-// three ways so a re-scheduled healthy execution is never mis-poisoned:
-// the stager self-cleans an entry's own stale key when it stages cleanly,
-// the scheduler's unpark hook erases a parked subgraph's keys once its
-// in-flight tasks drain, and request finalization sweeps keys of nodes
-// that were cancelled outright.
+// here — the nodes produced nothing, and later tasks in this stream that
+// consume them have nothing to read. The worker checks each entry's inputs
+// against this set to build the task's poisoned mask; poisoned rows gather
+// as zeros, are skipped by the scatter, and are reported to the manager as
+// failed entries (a cascade). Keys are purged three ways so a re-scheduled
+// healthy execution is never mis-poisoned: the worker self-cleans an
+// entry's own stale key when it runs cleanly, the scheduler's unpark hook
+// erases a parked subgraph's keys once its in-flight tasks drain, and
+// request finalization sweeps keys of nodes that were cancelled outright.
 struct Server::WorkerPipeline {
-  struct StagedTask {
-    WorkerTask wt;
-    GatheredBatch gathered;
-    int64_t seq = 0;
-    // Per-entry cascade mask (empty = no poisoned entries).
-    std::vector<uint8_t> poisoned;
-    // Injected fault or every entry poisoned: nothing gathered, nothing to
-    // execute; the exec thread just advances the stream and reports.
-    bool skip = false;
-    // Entry blamed for an injected fault; -1 for cascades.
-    int victim = -1;
-  };
-
+  // Guards failed_produced and the in-flight copy below.
   std::mutex mu;
-  std::condition_variable cv;
-  std::unordered_set<uint64_t> unscattered;
   std::unordered_set<uint64_t> failed_produced;
-  std::deque<StagedTask> staged;
-  int64_t executed_seq = -1;  // highest seq executed + scattered
-  bool stage_done = false;    // staging thread exited; drain and stop
-  // Device staging buffers (backend_->CreateArena()); the CPU backend's
-  // wrap TensorArenas, compute-free backends hand out no-op arenas.
-  std::unique_ptr<DeviceArena> staging[2];
-  // Total exec-thread time with nothing to execute (see WorkerIdleMicros).
-  // Written only by the exec thread; read from any thread.
+  // Device staging buffer (backend_->CreateArena()); the CPU backend's
+  // wraps a TensorArena, compute-free backends hand out a no-op arena.
+  std::unique_ptr<DeviceArena> staging;
+  // Total worker-thread time blocked on the task queue (see
+  // WorkerIdleMicros). Written only by the worker thread; read from any
+  // thread.
   std::atomic<double> idle_micros{0.0};
+  // Stream seq of the next popped task. Touched only by the worker thread;
+  // kept here so a respawned thread continues the stream's numbering.
+  int64_t next_seq = 0;
 
   // ---- Worker failure domains (written only when health_on_) ----------
   // Progress heartbeat: a monotonically increasing epoch plus a wall
-  // stamp, bumped by the stager and exec threads at gather / execute /
-  // scatter boundaries. The watchdog reads both lock-free.
+  // stamp, bumped by the worker thread at pop, gather and scatter
+  // boundaries. The watchdog reads both lock-free.
   std::atomic<int64_t> hb_epoch{0};
   std::atomic<double> hb_stamp{0.0};
-  // The task the exec thread is currently inside: stream seq (-1 = idle,
+  // The task the worker thread is currently inside: stream seq (-1 = idle,
   // published last with release so the fields below are valid when read
   // after an acquire load), entry instant, cell type and batch size. The
   // watchdog prices the expected span with the online cost model and
@@ -124,22 +92,17 @@ struct Server::WorkerPipeline {
   std::atomic<int> busy_type{-1};
   std::atomic<int> busy_batch{0};
   std::atomic<int64_t> busy_task_seq{-1};
-  // Exec-thread liveness: 0 = not yet running, 1 = alive, 2 = exited. A
+  // Worker-thread liveness: 0 = not yet running, 1 = alive, 2 = exited. A
   // chaos thread-exit (or any early return) leaves 2 behind while the
   // watchdog is still running; normal shutdown exits only after the
   // watchdog stopped.
-  std::atomic<int> exec_alive{0};
-  // Quarantine flag (under mu): set by the owning shard manager when the
-  // watchdog flags this worker. The stager aborts any task it holds (and
-  // refuses new ones) while this is set, handing them back via RequeueMsg.
-  bool quarantined = false;
+  std::atomic<int> alive{0};
   // In-flight task metadata for dead-worker reclamation: a copy of the
-  // task the exec thread popped (recorded under mu before execution,
-  // cleared once its completion message is pushed). A hung worker's
-  // in-flight task is never reclaimed — it completes when the thread
-  // wakes; a dead worker's never will, so the manager requeues this copy.
+  // task the worker thread popped (recorded under mu right after the pop,
+  // cleared before its completion message is pushed). A live worker —
+  // healthy or hung — resolves its popped task itself; a dead one never
+  // will, so the manager requeues this copy.
   BatchedTask inflight_task;
-  int64_t inflight_seq = -1;
   bool inflight_valid = false;
   // Count of quarantine operations the shard manager has completed on
   // this pipeline. The watchdog records the value it expects before
@@ -246,13 +209,6 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   BM_CHECK(caps_.supported_precisions[static_cast<int>(options_.precision)])
       << "backend '" << backend_name << "' does not support the requested "
       << "GEMM precision";
-  if (caps_.max_pipeline_depth > 0 &&
-      options_.pipeline_depth > caps_.max_pipeline_depth) {
-    BM_LOG(Warning) << "backend '" << backend_name << "' caps pipeline depth "
-                    << "at " << caps_.max_pipeline_depth << "; clamping from "
-                    << options_.pipeline_depth;
-    options_.pipeline_depth = caps_.max_pipeline_depth;
-  }
   if (options_.numa_policy != NumaPolicy::kNone && !caps_.supports_numa_pinning) {
     BM_LOG(Warning) << "backend '" << backend_name << "' does not support "
                     << "NUMA pinning; degrading numa_policy to none";
@@ -293,8 +249,7 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   for (int i = 0; i < num_workers; ++i) {
     task_queues_.push_back(std::make_unique<BlockingQueue<WorkerTask>>());
     auto pipe = std::make_unique<WorkerPipeline>();
-    pipe->staging[0] = backend_->CreateArena();
-    pipe->staging[1] = backend_->CreateArena();
+    pipe->staging = backend_->CreateArena();
     pipelines_.push_back(std::move(pipe));
   }
 
@@ -427,7 +382,7 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
             std::vector<uint64_t> keys;
             for (size_t n = 0; n < state->nodes.size(); ++n) {
               if (state->nodes[n].stage == NodeStage::kCancelled) {
-                keys.push_back(HazardKey(state->id, static_cast<int>(n)));
+                keys.push_back(PoisonKey(state->id, static_cast<int>(n)));
               }
             }
             if (!keys.empty()) {
@@ -483,7 +438,7 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
       WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(sg->last_worker)];
       std::lock_guard<std::mutex> lock(pipe.mu);
       for (int node : sg->nodes) {
-        pipe.failed_produced.erase(HazardKey(sg->owner->id, node));
+        pipe.failed_produced.erase(PoisonKey(sg->owner->id, node));
       }
     });
     shards_.push_back(std::move(shard));
@@ -522,13 +477,9 @@ void Server::Start() {
   }
   for (int i = 0; i < options_.num_workers; ++i) {
     const int shard = shard_of_worker_[static_cast<size_t>(i)];
-    stager_threads_.emplace_back([this, i, shard] {
+    worker_threads_.emplace_back([this, i, shard] {
       TraceRecorder::SetThreadShard(shard);
-      StageLoop(i);
-    });
-    exec_threads_.emplace_back([this, i, shard] {
-      TraceRecorder::SetThreadShard(shard);
-      ExecLoop(i);
+      WorkerLoop(i);
     });
   }
   if (health_on_) {
@@ -697,7 +648,7 @@ void Server::Shutdown() {
     // completion callback signals when it hits zero. (With zero unfinished
     // requests no migration is in flight either — a migrating request
     // counts as unfinished — so no shard inbox holds live request state.)
-    // The wait is unbounded by design — abandoning a live-but-hung exec
+    // The wait is unbounded by design — abandoning a live-but-hung worker
     // thread is unsound (on wake it would scatter into freed request
     // state) — but it must not be *silent*: a worker hung past every
     // recovery path (DESIGN.md "Worker failure domains") would wedge this
@@ -741,16 +692,12 @@ void Server::Shutdown() {
     }
   }
   // After the drain there are no tasks in flight: closing a task queue
-  // stops that worker's staging thread, which flags stage_done and lets
-  // the execution thread drain `staged` (already empty) and exit.
+  // stops that worker's thread.
   for (auto& queue : task_queues_) {
     queue->Close();
   }
-  for (std::thread& t : stager_threads_) {
-    t.join();
-  }
-  for (std::thread& t : exec_threads_) {
-    // A chaos-killed exec thread the watchdog already joined (and maybe
+  for (std::thread& t : worker_threads_) {
+    // A chaos-killed worker thread the watchdog already joined (and maybe
     // replaced) leaves a non-joinable slot behind.
     if (t.joinable()) {
       t.join();
@@ -903,8 +850,6 @@ void Server::HandleMsg(Shard& shard, ManagerMsg msg) {
     HandleQuarantine(shard, std::get<QuarantineMsg>(msg));
   } else if (std::holds_alternative<ReadmitMsg>(msg)) {
     HandleReadmit(shard, std::get<ReadmitMsg>(msg));
-  } else if (std::holds_alternative<RequeueMsg>(msg)) {
-    HandleRequeue(shard, std::move(std::get<RequeueMsg>(msg)));
   } else {
     HandleStealDeny(shard, std::get<StealDenyMsg>(msg));
   }
@@ -1262,79 +1207,36 @@ void Server::HandleQuarantine(Shard& shard, const QuarantineMsg& msg) {
   shard.quarantined[local] = 1;
   WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
 
-  // Reclaim the undone stream. Every task this worker was handed is in
-  // exactly one place — the task queue, the stager's hands, `staged`, or
-  // the exec thread — and each resolves exactly once: queued and staged
-  // tasks are requeued here, a task the stager holds comes back via
-  // RequeueMsg (it sees the flag at its next lock acquisition), and the
-  // exec thread's in-flight task either completes on wake (hung) or is
-  // requeued from the pipeline's copy (dead).
+  // Reclaim the undone stream. Every task this worker was handed is
+  // either still queued — drained and requeued below — or was popped by
+  // its thread. A live thread (healthy, or hung and waking later) runs a
+  // popped task to the end and reports it through the inbox like any
+  // other, so the completion path resolves it; with the stream no longer
+  // refilled, nothing is popped after the drain. A dead thread was joined
+  // before this message was sent, and its in-flight task is requeued from
+  // the pipeline's copy.
   std::vector<BatchedTask> reclaimed;
-  {
+  if (msg.dead) {
     std::lock_guard<std::mutex> lock(pipe.mu);
-    pipe.quarantined = true;
-    int64_t max_seq = pipe.executed_seq;
-    bool reset_parity[2] = {false, false};
-    for (WorkerPipeline::StagedTask& st : pipe.staged) {
-      max_seq = std::max(max_seq, st.seq);
-      reset_parity[st.seq & 1] = true;
-      // Retire the spliced task's hazard keys: clean entries sit in
-      // unscattered, poisoned/skipped ones in failed_produced, and either
-      // would mis-block or mis-poison a later stream after re-admission.
-      for (const TaskEntry& entry : st.wt.task.entries) {
-        const uint64_t key = HazardKey(entry.request, entry.node);
-        pipe.unscattered.erase(key);
-        pipe.failed_produced.erase(key);
+    if (pipe.inflight_valid) {
+      // Drop any poison key the task left behind: the requeued nodes run
+      // again and must not be mis-poisoned after re-admission.
+      for (const TaskEntry& entry : pipe.inflight_task.entries) {
+        pipe.failed_produced.erase(PoisonKey(entry.request, entry.node));
       }
-      reclaimed.push_back(std::move(st.wt.task));
+      reclaimed.push_back(std::move(pipe.inflight_task));
+      pipe.inflight_valid = false;
     }
-    pipe.staged.clear();  // drops the gathered views into the arenas
-    if (msg.dead) {
-      if (pipe.inflight_valid) {
-        max_seq = std::max(max_seq, pipe.inflight_seq);
-        // The dead thread owned this parity (it was joined before the
-        // message was sent), so resetting it here is single-threaded.
-        reset_parity[pipe.inflight_seq & 1] = true;
-        for (const TaskEntry& entry : pipe.inflight_task.entries) {
-          const uint64_t key = HazardKey(entry.request, entry.node);
-          pipe.unscattered.erase(key);
-          pipe.failed_produced.erase(key);
-        }
-        reclaimed.push_back(std::move(pipe.inflight_task));
-        pipe.inflight_valid = false;
-        pipe.inflight_seq = -1;
-      }
-      // The dead thread left its busy marker set; clear it so the
-      // watchdog's idle probe can pass once the replacement runs.
-      pipe.busy_task_seq.store(-1, std::memory_order_release);
-    } else if (pipe.inflight_valid) {
-      // Hung: the exec thread still owns its task's arena — leave it; it
-      // is reset on wake like any other completed task's.
-      reset_parity[pipe.inflight_seq & 1] = false;
-    }
-    // Reset exactly the parities of the tasks reclaimed above — never
-    // both unconditionally. The stager may be running a gather right now
-    // without holding mu (it only checks `quarantined` before the hazard
-    // wait and at publish); the seq it owns is gated by executed_seq to
-    // at most one past every seq reclaimed here, so it is the *opposite*
-    // parity of any reclaimed task, and the stager's own quarantine-abort
-    // publish Reset()s that arena before handing its task back.
-    for (int p = 0; p < 2; ++p) {
-      if (reset_parity[p]) {
-        pipe.staging[p]->Reset();
-      }
-    }
-    // Spliced seqs will never execute; publishing them as "executed" keeps
-    // the stager's arena-reuse wait from deadlocking on a hole.
-    pipe.executed_seq = max_seq;
+    // The dead thread left its busy marker set; clear it so the
+    // watchdog's idle probe can pass once the replacement runs.
+    pipe.busy_task_seq.store(-1, std::memory_order_release);
   }
-  // Ack strictly after the reclaim above is published: the watchdog only
-  // probes for re-admission once the counter advances, so a ReadmitMsg can
-  // never overtake this quarantine through the inbox.
-  pipe.quarantine_acks.fetch_add(1);
-  pipe.cv.notify_all();
-
   std::deque<WorkerTask> queued = task_queues_[static_cast<size_t>(worker)]->DrainAll();
+  // Ack strictly after the reclaim and the drain: the watchdog respawns a
+  // dead worker's thread and probes for re-admission only once the counter
+  // advances, so the replacement starts on an empty stream and a
+  // ReadmitMsg can never overtake this quarantine through the inbox.
+  pipe.quarantine_acks.fetch_add(1);
   for (const BatchedTask& task : reclaimed) {
     RequeueReclaimed(shard, worker, task);
   }
@@ -1366,17 +1268,8 @@ void Server::HandleReadmit(Shard& shard, const ReadmitMsg& msg) {
     return;  // never quarantined here: stale or duplicate message
   }
   shard.quarantined[local] = 0;
-  WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
-  {
-    std::lock_guard<std::mutex> lock(pipe.mu);
-    pipe.quarantined = false;
-  }
   metrics_.worker(worker).readmissions.fetch_add(1, std::memory_order_relaxed);
   TrySchedule(shard, worker);
-}
-
-void Server::HandleRequeue(Shard& shard, RequeueMsg msg) {
-  RequeueReclaimed(shard, msg.task.worker, msg.task);
 }
 
 void Server::RequeueReclaimed(Shard& shard, int worker, const BatchedTask& task) {
@@ -1457,16 +1350,16 @@ void Server::WatchdogCheckWorker(int worker, double now_micros) {
     if (pipe.quarantine_acks.load() < watch.acks_wanted) {
       return;  // the shard manager has not processed the quarantine yet
     }
-    // A dead worker's exec thread was joined before the quarantine was
+    // A dead worker's thread was joined before the quarantine was
     // requested; replace it once the manager's reclaim completed (the
-    // replacement then only ever sees the reset pipeline).
+    // replacement then only ever sees the drained stream).
     if (!watch.respawned &&
         health.load(std::memory_order_relaxed) ==
             static_cast<uint8_t>(WorkerHealth::kDead)) {
-      exec_threads_[static_cast<size_t>(worker)] =
+      worker_threads_[static_cast<size_t>(worker)] =
           std::thread([this, worker, owner_shard] {
             TraceRecorder::SetThreadShard(owner_shard);
-            ExecLoop(worker);
+            WorkerLoop(worker);
           });
       watch.respawned = true;
       metrics_.worker(worker).respawns.fetch_add(1, std::memory_order_relaxed);
@@ -1475,11 +1368,10 @@ void Server::WatchdogCheckWorker(int worker, double now_micros) {
     if (now_micros < watch.next_probe) {
       return;
     }
-    // Re-admission probe: the exec thread must be alive and idle. Idle
-    // means it holds no task, so every arena parity has been reset by its
-    // last owner (quarantine splice, stager abort, or a completed
-    // execution) and the re-admitted stream restarts clean.
-    if (pipe.exec_alive.load() == 1 &&
+    // Re-admission probe: the worker thread must be alive and idle. Idle
+    // means it holds no task, so its staging arena was reset by the last
+    // task it ran and the re-admitted stream restarts clean.
+    if (pipe.alive.load() == 1 &&
         pipe.busy_task_seq.load(std::memory_order_acquire) == -1) {
       watch.quarantined = false;
       watch.respawned = false;
@@ -1498,16 +1390,16 @@ void Server::WatchdogCheckWorker(int worker, double now_micros) {
     return;
   }
 
-  const int alive = pipe.exec_alive.load();
+  const int alive = pipe.alive.load();
   if (alive == 0) {
-    return;  // exec thread not yet running; nothing to judge
+    return;  // worker thread not yet running; nothing to judge
   }
   if (alive == 2) {
-    // The exec thread exited outside shutdown: dead. Join the corpse so
+    // The worker thread exited outside shutdown: dead. Join the corpse so
     // its slot can be respawned, then ask the owning shard to quarantine
     // and reclaim (including the task the thread died inside).
-    if (exec_threads_[static_cast<size_t>(worker)].joinable()) {
-      exec_threads_[static_cast<size_t>(worker)].join();
+    if (worker_threads_[static_cast<size_t>(worker)].joinable()) {
+      worker_threads_[static_cast<size_t>(worker)].join();
     }
     begin_quarantine(/*dead=*/true);
     return;
@@ -1547,249 +1439,9 @@ void Server::WatchdogCheckWorker(int worker, double now_micros) {
   }
 }
 
-void Server::StageLoop(int worker) {
-  SetCurrentThreadName("worker/" + std::to_string(worker) + "-stager");
+void Server::WorkerLoop(int worker) {
+  SetCurrentThreadName("worker/" + std::to_string(worker));
   WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
-  const int my_node = numa_on_ ? worker_node_[static_cast<size_t>(worker)] : -1;
-  if (my_node >= 0) {
-    PinCurrentThreadToCpus(topology_.nodes[static_cast<size_t>(my_node)].cpus);
-    // First-touch the double-buffered staging arenas from the pinned owner:
-    // their steady-state pages land on this node, so gathers write locally.
-    pipe.staging[0]->Prefault(size_t{1} << 20);
-    pipe.staging[1]->Prefault(size_t{1} << 20);
-  }
-  auto& queue = *task_queues_[static_cast<size_t>(worker)];
-  // Tasks a quarantined stream refuses go back to the owning shard.
-  auto& inbox = shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(worker)])]
-                    ->inbox;
-  // Stream seqs are consumed only when a task is *published* to `staged`:
-  // a quarantine-aborted task is handed back without a seq, so the exec
-  // thread's executed_seq never has to step over a hole.
-  int64_t next_seq = 0;
-  while (auto wt = queue.Pop()) {
-    const int64_t seq = next_seq;
-    const size_t batch = wt->task.entries.size();
-
-    if (health_on_) {
-      // A task popped after (or racing with) a quarantine goes straight
-      // back: the manager's queue drain and this check together cover
-      // every task the stager could be holding.
-      bool reclaim;
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        reclaim = pipe.quarantined;
-      }
-      if (reclaim) {
-        inbox.Push(ManagerMsg{RequeueMsg{std::move(wt->task)}});
-        continue;
-      }
-      pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
-      pipe.hb_stamp.store(NowMicros(), std::memory_order_relaxed);
-    }
-
-    WorkerPipeline::StagedTask st;
-    st.seq = seq;
-
-    // Injected faults are decided at stage time, before any gather: every
-    // later task of this stream then sees the poison keys when it stages,
-    // so a consumer can never block on (or read) the missing outputs.
-    if (fault_injector_.ShouldFail(wt->task.id)) {
-      st.skip = true;
-      st.victim = fault_injector_.VictimEntry(wt->task.id, static_cast<int>(batch));
-      bool reclaim = false;
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        if (health_on_ && pipe.quarantined) {
-          reclaim = true;
-        } else {
-          for (const TaskEntry& entry : wt->task.entries) {
-            pipe.failed_produced.insert(HazardKey(entry.request, entry.node));
-          }
-          st.wt = std::move(*wt);
-          pipe.staged.push_back(std::move(st));
-          ++next_seq;
-        }
-      }
-      if (reclaim) {
-        inbox.Push(ManagerMsg{RequeueMsg{std::move(wt->task)}});
-        continue;
-      }
-      pipe.cv.notify_all();
-      continue;
-    }
-
-    // Keys of internal inputs: producers that must have scattered before
-    // this task's rows can be gathered (hazard 1 above). A producer that
-    // *failed* instead puts its key in failed_produced, never unscattered,
-    // so the wait below cannot block on it; the poisoned mask is computed
-    // under the same lock, after the wait, when every producer has either
-    // scattered or failed for good.
-    std::vector<uint64_t> input_keys;
-    for (size_t i = 0; i < batch; ++i) {
-      const TaskEntry& entry = wt->task.entries[i];
-      const CellNode& node = wt->states[i]->graph.node(entry.node);
-      for (const ValueRef& ref : node.inputs) {
-        if (!ref.is_external()) {
-          input_keys.push_back(HazardKey(entry.request, ref.node));
-        }
-      }
-    }
-    size_t num_poisoned = 0;
-    {
-      std::unique_lock<std::mutex> lock(pipe.mu);
-      pipe.cv.wait(lock, [&] {
-        if (health_on_ && pipe.quarantined) {
-          return true;  // abort: the manager reclaimed this stream
-        }
-        if (pipe.executed_seq < seq - 2) {
-          return false;  // staging[seq % 2] still holds task seq-2's buffers
-        }
-        for (uint64_t key : input_keys) {
-          if (pipe.unscattered.count(key) != 0) {
-            return false;  // a producer has not scattered yet
-          }
-        }
-        return true;
-      });
-      if (health_on_ && pipe.quarantined) {
-        lock.unlock();
-        inbox.Push(ManagerMsg{RequeueMsg{std::move(wt->task)}});
-        continue;
-      }
-      if (!pipe.failed_produced.empty()) {
-        st.poisoned.assign(batch, 0);
-        for (size_t i = 0; i < batch; ++i) {
-          const TaskEntry& entry = wt->task.entries[i];
-          const CellNode& node = wt->states[i]->graph.node(entry.node);
-          for (const ValueRef& ref : node.inputs) {
-            if (!ref.is_external() &&
-                pipe.failed_produced.count(HazardKey(entry.request, ref.node)) != 0) {
-              st.poisoned[i] = 1;
-              num_poisoned++;
-              break;
-            }
-          }
-        }
-        if (num_poisoned == 0) {
-          st.poisoned.clear();
-        }
-      }
-    }
-
-    if (num_poisoned == batch) {
-      // Every entry consumes a failed producer: a pure cascade, nothing to
-      // gather or execute. Blame stays with the original fault.
-      st.skip = true;
-      st.poisoned.clear();
-      bool reclaim = false;
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        if (health_on_ && pipe.quarantined) {
-          reclaim = true;
-        } else {
-          for (const TaskEntry& entry : wt->task.entries) {
-            pipe.failed_produced.insert(HazardKey(entry.request, entry.node));
-          }
-          st.wt = std::move(*wt);
-          pipe.staged.push_back(std::move(st));
-          ++next_seq;
-        }
-      }
-      if (reclaim) {
-        inbox.Push(ManagerMsg{RequeueMsg{std::move(wt->task)}});
-        continue;
-      }
-      pipe.cv.notify_all();
-      continue;
-    }
-
-    trace_.GatherBegin(wt->task.id, wt->task.type, worker, wt->task.BatchSize());
-    // Compute-free backends stage nothing; the hazard bookkeeping above and
-    // below still ran, so stream-order invariants hold for every backend.
-    if (caps_.requires_gather) {
-      backend_->Gather(wt->task, wt->states, &st.gathered,
-                       pipe.staging[seq & 1].get(),
-                       st.poisoned.empty() ? nullptr : &st.poisoned);
-    }
-    trace_.GatherEnd(wt->task.id, wt->task.type, worker, wt->task.BatchSize());
-    if (health_on_) {
-      pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
-      pipe.hb_stamp.store(NowMicros(), std::memory_order_relaxed);
-    }
-
-    if (my_node >= 0) {
-      // Estimated cross-node gather traffic: rows whose producing request
-      // last scattered on another node, priced at the task's mean row
-      // bytes. An upper bound (the row may have been node-local anyway
-      // after a steal) and purely diagnostic.
-      int64_t gathered_bytes = 0;
-      for (const Tensor& t : st.gathered.inputs) {
-        gathered_bytes +=
-            t.NumElements() * static_cast<int64_t>(DTypeSize(t.dtype()));
-      }
-      int64_t remote_rows = 0;
-      for (size_t i = 0; i < batch; ++i) {
-        if (!st.poisoned.empty() && st.poisoned[i] != 0) {
-          continue;
-        }
-        const int producer_node =
-            wt->states[i]->last_scatter_node.load(std::memory_order_relaxed);
-        if (producer_node >= 0 && producer_node != my_node) {
-          ++remote_rows;
-        }
-      }
-      if (remote_rows > 0) {
-        metrics_.node(my_node).remote_gather_bytes.fetch_add(
-            gathered_bytes * remote_rows / static_cast<int64_t>(batch),
-            std::memory_order_relaxed);
-      }
-    }
-
-    bool reclaim = false;
-    {
-      std::lock_guard<std::mutex> lock(pipe.mu);
-      if (health_on_ && pipe.quarantined) {
-        // Quarantined between the hazard wait and this publish: the rows
-        // just gathered will never execute. This thread still owns the
-        // arena (the task was never published), so recycle it and hand the
-        // task back without consuming the seq.
-        st.gathered.inputs.clear();
-        pipe.staging[seq & 1]->Reset();
-        reclaim = true;
-      } else {
-        for (size_t i = 0; i < batch; ++i) {
-          const TaskEntry& entry = wt->task.entries[i];
-          const uint64_t key = HazardKey(entry.request, entry.node);
-          if (!st.poisoned.empty() && st.poisoned[i] != 0) {
-            pipe.failed_produced.insert(key);  // propagate the cascade
-          } else {
-            // Self-clean: a node re-staged here after a failed attempt (the
-            // revert machinery re-scheduled it to this worker) supersedes its
-            // stale poison key.
-            pipe.failed_produced.erase(key);
-            pipe.unscattered.insert(key);
-          }
-        }
-        st.wt = std::move(*wt);
-        pipe.staged.push_back(std::move(st));
-        ++next_seq;
-      }
-    }
-    if (reclaim) {
-      inbox.Push(ManagerMsg{RequeueMsg{std::move(wt->task)}});
-      continue;
-    }
-    pipe.cv.notify_all();
-  }
-  {
-    std::lock_guard<std::mutex> lock(pipe.mu);
-    pipe.stage_done = true;
-  }
-  pipe.cv.notify_all();
-}
-
-void Server::ExecLoop(int worker) {
-  SetCurrentThreadName("worker/" + std::to_string(worker) + "-exec");
   // Pin before constructing the pool: spawned pool threads inherit this
   // thread's affinity mask, so one pin covers the whole intra-task pool.
   const int my_node = numa_on_ ? worker_node_[static_cast<size_t>(worker)] : -1;
@@ -1799,13 +1451,14 @@ void Server::ExecLoop(int worker) {
     worker_pinned_[static_cast<size_t>(worker)].store(pinned,
                                                       std::memory_order_relaxed);
     trace_.WorkerPinned(worker, my_node, pinned);
+    // First-touch the staging arena from its pinned owner: its steady-state
+    // pages land on this node, so gathers write locally.
+    pipe.staging->Prefault(size_t{1} << 20);
   }
   // This worker's execution resources — intra-task pool, scratch arena,
-  // NUMA weight replicas — now live inside its device queue, constructed
-  // here on the pinned thread so backend allocations inherit the affinity
-  // and first-touch placement. Gather buffers live in the pipeline's
-  // staging arenas instead, so a task's inputs survive while the previous
-  // task executes here. Destroying the queue (normal exit, chaos exit)
+  // NUMA weight replicas — live inside its device queue, constructed here
+  // on the pinned thread so backend allocations inherit the affinity and
+  // first-touch placement. Destroying the queue (normal exit, chaos exit)
   // releases the replicas, so a respawned thread re-acquires them by
   // re-creating it.
   DeviceQueueOptions qopts;
@@ -1814,42 +1467,78 @@ void Server::ExecLoop(int worker) {
   qopts.thread_name_prefix = "pool/" + std::to_string(worker) + "-";
   qopts.numa_node = my_node;
   qopts.replicate_weights = numa_replicate_ && my_node >= 0;
-  std::unique_ptr<DeviceQueue> queue = backend_->CreateQueue(qopts);
-  BM_CHECK(queue != nullptr);
-  WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
+  std::unique_ptr<DeviceQueue> device = backend_->CreateQueue(qopts);
+  BM_CHECK(device != nullptr);
+  auto& tasks = *task_queues_[static_cast<size_t>(worker)];
   // Completions go to the inbox of the shard that owns this worker.
   auto& inbox = shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(worker)])]
                     ->inbox;
-  double idle_accum = 0.0;
+  double idle_accum = pipe.idle_micros.load(std::memory_order_relaxed);
   const bool chaos_on = fault_injector_.worker_chaos_enabled();
   if (health_on_) {
-    pipe.exec_alive.store(1);
+    pipe.alive.store(1);
   }
 
-  for (;;) {
-    WorkerPipeline::StagedTask st;
-    {
-      std::unique_lock<std::mutex> lock(pipe.mu);
-      if (pipe.staged.empty() && !pipe.stage_done) {
-        // The gap the watermark protocol exists to shrink: nothing staged,
-        // so this worker's cores go idle until the manager round-trips a
-        // refill (or the stager finishes a gather).
-        const double idle_begin = NowMicros();
-        pipe.cv.wait(lock,
-                     [&] { return !pipe.staged.empty() || pipe.stage_done; });
-        const double idle_end = NowMicros();
-        idle_accum += idle_end - idle_begin;
-        pipe.idle_micros.store(idle_accum, std::memory_order_relaxed);
-        trace_.WorkerIdle(idle_begin, idle_end, worker);
+  std::optional<WorkerTask> wt;
+  const auto heartbeat = [&] {
+    pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
+    pipe.hb_stamp.store(NowMicros(), std::memory_order_relaxed);
+  };
+  // Ends the busy span and reports the popped task to the owning shard.
+  const auto complete = [&](CompletionMsg msg) {
+    if (health_on_) {
+      {
+        std::lock_guard<std::mutex> lock(pipe.mu);
+        pipe.inflight_valid = false;
       }
-      if (pipe.staged.empty()) {
-        break;  // stage_done and fully drained
-      }
-      st = std::move(pipe.staged.front());
-      pipe.staged.pop_front();
+      heartbeat();
+      pipe.busy_task_seq.store(-1, std::memory_order_release);
     }
+    msg.task = std::move(wt->task);
+    inbox.Push(ManagerMsg{std::move(msg)});
+  };
+  // The whole task produced nothing: poison every entry's output for the
+  // rest of this stream and report every entry failed. `victim` is the
+  // entry blamed for an injected fault, -1 for cascades (the blame was
+  // assigned when the original fault fired) and execution failures.
+  const auto fail_all = [&](int victim) {
+    const int batch = wt->task.BatchSize();
+    {
+      std::lock_guard<std::mutex> lock(pipe.mu);
+      for (const TaskEntry& entry : wt->task.entries) {
+        pipe.failed_produced.insert(PoisonKey(entry.request, entry.node));
+      }
+    }
+    trace_.TaskFailed(wt->task.id, wt->task.type, worker, batch);
+    CompletionMsg msg;
+    msg.failed_entries.resize(static_cast<size_t>(batch));
+    for (int i = 0; i < batch; ++i) {
+      msg.failed_entries[static_cast<size_t>(i)] = i;
+    }
+    msg.victim_entry = victim;
+    complete(std::move(msg));
+  };
 
-    const int batch = st.wt.task.BatchSize();
+  for (;;) {
+    wt = tasks.TryPop();
+    if (!wt) {
+      // The gap the watermark protocol exists to shrink: the stream is
+      // empty, so this worker's cores idle until the manager round-trips
+      // a refill.
+      const double idle_begin = NowMicros();
+      wt = tasks.Pop();
+      const double idle_end = NowMicros();
+      idle_accum += idle_end - idle_begin;
+      pipe.idle_micros.store(idle_accum, std::memory_order_relaxed);
+      trace_.WorkerIdle(idle_begin, idle_end, worker);
+      if (!wt) {
+        break;  // closed and drained
+      }
+    }
+    const int64_t seq = pipe.next_seq++;
+    const uint64_t task_id = wt->task.id;
+    const CellTypeId type = wt->task.type;
+    const int batch = wt->task.BatchSize();
 
     if (health_on_) {
       // Heartbeat + busy marker: record what this thread is about to be
@@ -1860,23 +1549,19 @@ void Server::ExecLoop(int worker) {
       pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
       pipe.hb_stamp.store(now, std::memory_order_relaxed);
       pipe.busy_since.store(now, std::memory_order_relaxed);
-      pipe.busy_type.store(static_cast<int>(st.wt.task.type),
-                           std::memory_order_relaxed);
+      pipe.busy_type.store(static_cast<int>(type), std::memory_order_relaxed);
       pipe.busy_batch.store(batch, std::memory_order_relaxed);
-      pipe.busy_task_seq.store(st.seq, std::memory_order_release);
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        pipe.inflight_task = st.wt.task;
-        pipe.inflight_seq = st.seq;
-        pipe.inflight_valid = true;
-      }
+      pipe.busy_task_seq.store(seq, std::memory_order_release);
+      std::lock_guard<std::mutex> lock(pipe.mu);
+      pipe.inflight_task = wt->task;
+      pipe.inflight_valid = true;
     }
     double slowdown = 1.0;
     if (chaos_on) {
       // Deterministic worker chaos (watchdog drills), keyed on
       // (worker, stream seq): hang before executing, die before
       // executing, or stretch the exec span below.
-      const WorkerChaos chaos = fault_injector_.ChaosAt(worker, st.seq);
+      const WorkerChaos chaos = fault_injector_.ChaosAt(worker, seq);
       slowdown = chaos.slowdown_factor;
       if (chaos.hang_micros > 0.0) {
         std::this_thread::sleep_for(
@@ -1888,47 +1573,99 @@ void Server::ExecLoop(int worker) {
         // reclaims the task from the pipeline's copy. The queue is torn
         // down like a normal exit (releasing any weight replicas) so the
         // respawned thread can re-create it.
-        queue.reset();
+        device.reset();
         if (health_on_) {
-          pipe.exec_alive.store(2);
+          pipe.alive.store(2);
         }
         return;
       }
     }
 
-    if (st.skip) {
-      // Injected fault or pure cascade: nothing was gathered and nothing
-      // executes. Advance the stream (the staging arena was never touched;
-      // its keys are already in failed_produced) and report the failure.
-      // The max keeps a quarantine's splice — which may have published a
-      // higher executed_seq already — from moving backwards.
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        pipe.executed_seq = std::max(pipe.executed_seq, st.seq);
-        if (health_on_) {
-          pipe.inflight_valid = false;
-          pipe.inflight_seq = -1;
+    if (fault_injector_.ShouldFail(task_id)) {
+      tasks_failed_.fetch_add(1);
+      fail_all(fault_injector_.VictimEntry(task_id, batch));
+      continue;
+    }
+
+    // Cascade mask: an entry consuming an output a failed task never
+    // produced gathers zeros, skips the scatter and is reported failed.
+    // The same pass updates the entries' own keys: a poisoned entry
+    // propagates the cascade, and a clean one drops a stale key left by
+    // an earlier failed attempt of its node (the revert machinery may
+    // have re-scheduled it here).
+    std::vector<uint8_t> poisoned;
+    int num_poisoned = 0;
+    {
+      std::lock_guard<std::mutex> lock(pipe.mu);
+      if (!pipe.failed_produced.empty()) {
+        poisoned.assign(static_cast<size_t>(batch), 0);
+        for (int i = 0; i < batch; ++i) {
+          const TaskEntry& entry = wt->task.entries[static_cast<size_t>(i)];
+          const CellNode& node = wt->states[static_cast<size_t>(i)]->graph.node(entry.node);
+          for (const ValueRef& ref : node.inputs) {
+            if (!ref.is_external() &&
+                pipe.failed_produced.count(PoisonKey(entry.request, ref.node)) != 0) {
+              poisoned[static_cast<size_t>(i)] = 1;
+              num_poisoned++;
+              break;
+            }
+          }
+        }
+        for (int i = 0; i < batch; ++i) {
+          const TaskEntry& entry = wt->task.entries[static_cast<size_t>(i)];
+          const uint64_t key = PoisonKey(entry.request, entry.node);
+          if (poisoned[static_cast<size_t>(i)] != 0) {
+            pipe.failed_produced.insert(key);
+          } else {
+            pipe.failed_produced.erase(key);
+          }
         }
       }
-      pipe.cv.notify_all();
-      if (health_on_) {
-        pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
-        pipe.hb_stamp.store(NowMicros(), std::memory_order_relaxed);
-        pipe.busy_task_seq.store(-1, std::memory_order_release);
-      }
-      trace_.TaskFailed(st.wt.task.id, st.wt.task.type, worker, batch);
-      if (st.victim >= 0) {
-        tasks_failed_.fetch_add(1);  // cascades count the original fault only
-      }
-      CompletionMsg msg;
-      msg.task = std::move(st.wt.task);
-      msg.failed_entries.resize(static_cast<size_t>(batch));
-      for (int i = 0; i < batch; ++i) {
-        msg.failed_entries[static_cast<size_t>(i)] = i;
-      }
-      msg.victim_entry = st.victim;
-      inbox.Push(ManagerMsg{std::move(msg)});
+    }
+    if (num_poisoned == batch) {
+      fail_all(-1);  // a pure cascade: nothing to gather or execute
       continue;
+    }
+    if (num_poisoned == 0) {
+      poisoned.clear();
+    }
+    const std::vector<uint8_t>* mask = poisoned.empty() ? nullptr : &poisoned;
+
+    trace_.GatherBegin(task_id, type, worker, batch);
+    // Compute-free backends stage nothing.
+    GatheredBatch gathered;
+    if (caps_.requires_gather) {
+      backend_->Gather(wt->task, wt->states, &gathered, pipe.staging.get(), mask);
+    }
+    trace_.GatherEnd(task_id, type, worker, batch);
+    if (health_on_) {
+      heartbeat();
+    }
+
+    if (my_node >= 0) {
+      // Estimated cross-node gather traffic: rows whose producing request
+      // last scattered on another node, priced at the task's mean row
+      // bytes. An upper bound (the row may have been node-local anyway
+      // after a steal) and purely diagnostic.
+      int64_t gathered_bytes = 0;
+      for (const Tensor& t : gathered.inputs) {
+        gathered_bytes += t.NumElements() * static_cast<int64_t>(DTypeSize(t.dtype()));
+      }
+      int64_t remote_rows = 0;
+      for (int i = 0; i < batch; ++i) {
+        if (mask != nullptr && poisoned[static_cast<size_t>(i)] != 0) {
+          continue;
+        }
+        const int producer_node = wt->states[static_cast<size_t>(i)]->last_scatter_node.load(
+            std::memory_order_relaxed);
+        if (producer_node >= 0 && producer_node != my_node) {
+          ++remote_rows;
+        }
+      }
+      if (remote_rows > 0) {
+        metrics_.node(my_node).remote_gather_bytes.fetch_add(
+            gathered_bytes * remote_rows / batch, std::memory_order_relaxed);
+      }
     }
 
     const double exec_start = NowMicros();
@@ -1936,18 +1673,17 @@ void Server::ExecLoop(int worker) {
     // worker may win the CAS, and readers only look after the completion
     // has round-tripped through the inbox. Poisoned entries did not begin
     // executing — they stay eligible for deadline shedding.
-    for (size_t i = 0; i < st.wt.states.size(); ++i) {
-      if (st.poisoned.empty() || st.poisoned[i] == 0) {
-        st.wt.states[i]->MarkExecStarted(exec_start);
+    for (int i = 0; i < batch; ++i) {
+      if (mask == nullptr || poisoned[static_cast<size_t>(i)] == 0) {
+        wt->states[static_cast<size_t>(i)]->MarkExecStarted(exec_start);
       }
     }
-    trace_.ExecBegin(exec_start, st.wt.task.id, st.wt.task.type, worker, batch);
+    trace_.ExecBegin(exec_start, task_id, type, worker, batch);
     // Submit to the device stream and fence on completion. The CPU backend
-    // executes inline (the event returns signalled); async backends overlap
-    // device work with the next task's gather. A failed event means the
-    // whole task produced nothing — treated exactly like an injected fault
-    // with no victim.
-    DeviceEventPtr done = queue->Submit(st.wt.task, st.gathered);
+    // executes inline (the event returns signalled). A failed event means
+    // the whole task produced nothing — treated exactly like an injected
+    // fault with no victim.
+    DeviceEventPtr done = device->Submit(wt->task, gathered);
     done->Wait();
     const bool exec_threw = done->failed();
     std::vector<Tensor> outputs = done->TakeOutputs();
@@ -1959,105 +1695,50 @@ void Server::ExecLoop(int worker) {
           (slowdown - 1.0) * (NowMicros() - exec_start)));
     }
     // The gather buffers are dead: drop the arena-backed tensors, then
-    // recycle the staging arena (the backend recycled its own scratch
-    // inside Submit). Resetting staging[seq % 2] before publishing
-    // executed_seq (below, under mu) is what makes it safe for the stager
-    // to reuse — its wait on executed_seq orders the reset before any new
-    // gather into that arena.
-    st.gathered.inputs.clear();
-    pipe.staging[st.seq & 1]->Reset();
+    // recycle the staging arena for the next task (the backend recycled
+    // its own scratch inside Submit).
+    gathered.inputs.clear();
+    pipe.staging->Reset();
 
     if (exec_threw) {
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        for (const TaskEntry& entry : st.wt.task.entries) {
-          const uint64_t key = HazardKey(entry.request, entry.node);
-          pipe.unscattered.erase(key);
-          pipe.failed_produced.insert(key);
-        }
-        pipe.executed_seq = std::max(pipe.executed_seq, st.seq);
-        if (health_on_) {
-          pipe.inflight_valid = false;
-          pipe.inflight_seq = -1;
-        }
-      }
-      pipe.cv.notify_all();
-      if (health_on_) {
-        pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
-        pipe.hb_stamp.store(NowMicros(), std::memory_order_relaxed);
-        pipe.busy_task_seq.store(-1, std::memory_order_release);
-      }
-      trace_.TaskFailed(st.wt.task.id, st.wt.task.type, worker, batch);
       tasks_failed_.fetch_add(1);
-      CompletionMsg msg;
-      msg.task = std::move(st.wt.task);
-      msg.failed_entries.resize(static_cast<size_t>(batch));
-      for (int i = 0; i < batch; ++i) {
-        msg.failed_entries[static_cast<size_t>(i)] = i;
-      }
-      msg.victim_entry = -1;
-      inbox.Push(ManagerMsg{std::move(msg)});
+      fail_all(-1);
       continue;
     }
 
-    queue->Scatter(st.wt.task, st.wt.states, outputs,
-                   st.poisoned.empty() ? nullptr : &st.poisoned);
+    device->Scatter(wt->task, wt->states, outputs, mask);
     if (my_node >= 0) {
-      // Remember where these requests' outputs now live; stagers use it to
-      // estimate cross-node gather traffic (diagnostic only).
-      for (size_t i = 0; i < st.wt.states.size(); ++i) {
-        if (st.poisoned.empty() || st.poisoned[i] == 0) {
-          st.wt.states[i]->last_scatter_node.store(my_node,
-                                                   std::memory_order_relaxed);
+      // Remember where these requests' outputs now live; gathers use it to
+      // estimate cross-node traffic (diagnostic only).
+      for (int i = 0; i < batch; ++i) {
+        if (mask == nullptr || poisoned[static_cast<size_t>(i)] == 0) {
+          wt->states[static_cast<size_t>(i)]->last_scatter_node.store(
+              my_node, std::memory_order_relaxed);
         }
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(pipe.mu);
-      for (size_t i = 0; i < st.wt.task.entries.size(); ++i) {
-        if (st.poisoned.empty() || st.poisoned[i] == 0) {
-          const TaskEntry& entry = st.wt.task.entries[i];
-          pipe.unscattered.erase(HazardKey(entry.request, entry.node));
-        }
-        // Poisoned keys were never in unscattered; they stay poisoned in
-        // failed_produced until purged by unpark or finalization.
-      }
-      pipe.executed_seq = std::max(pipe.executed_seq, st.seq);
-      if (health_on_) {
-        pipe.inflight_valid = false;
-        pipe.inflight_seq = -1;
-      }
-    }
-    pipe.cv.notify_all();
-    if (health_on_) {
-      pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
-      pipe.hb_stamp.store(NowMicros(), std::memory_order_relaxed);
-      pipe.busy_task_seq.store(-1, std::memory_order_release);
-    }
-    trace_.ExecEnd(st.wt.task.id, st.wt.task.type, worker, batch);
     tasks_executed_.fetch_add(1);
     if (online_cost_model_ != nullptr && options_.batch_policy.calibrate) {
       // Calibration sample: measured execute+scatter span for this
       // (type, batch). The EWMA smooths scheduling noise; every
       // refit_interval samples the model re-fits the type's cost curve.
-      online_cost_model_->Observe(st.wt.task.type, batch, NowMicros() - exec_start);
+      online_cost_model_->Observe(type, batch, NowMicros() - exec_start);
     }
-
     CompletionMsg msg;
-    if (!st.poisoned.empty()) {
-      for (int i = 0; i < batch; ++i) {
-        if (st.poisoned[static_cast<size_t>(i)] != 0) {
-          msg.failed_entries.push_back(i);
-        }
+    for (int i = 0; mask != nullptr && i < batch; ++i) {
+      if (poisoned[static_cast<size_t>(i)] != 0) {
+        msg.failed_entries.push_back(i);
       }
     }
-    msg.task = std::move(st.wt.task);
-    inbox.Push(ManagerMsg{std::move(msg)});
+    complete(std::move(msg));
+    // Recorded after the completion hand-off, so this thread's gather,
+    // exec and idle spans cover its whole loop.
+    trace_.ExecEnd(task_id, type, worker, batch);
   }
 
-  queue.reset();
+  device.reset();
   if (health_on_) {
-    pipe.exec_alive.store(2);
+    pipe.alive.store(2);
   }
 }
 

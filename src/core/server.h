@@ -13,9 +13,9 @@
 // stolen request has nothing pinned and re-pins to the thief's workers).
 // num_shards = 1 reproduces the single-manager behaviour exactly.
 //
-// Per-worker thread pairs (standing in for the paper's per-GPU workers)
-// execute batched tasks from their FIFO task streams on the CPU via the
-// BatchAssembler. Completed tasks flow back to the owning shard's manager
+// One thread per worker (standing in for the paper's per-GPU workers)
+// executes batched tasks from its FIFO task stream on the CPU via the
+// device backend. Completed tasks flow back to the owning shard's manager
 // through its inbox; the manager updates dependencies, schedules follow-up
 // tasks, and fires the request callback when a request's last cell
 // finishes — so a short request returns immediately even when batched with
@@ -25,13 +25,12 @@
 // manager keeps every worker's stream `pipeline_depth` tasks deep
 // (watermark refill on each completion), so a worker never drains its
 // pipeline and then idles for a completion→manager→schedule round-trip.
-// Each worker splits task processing across two threads: a *staging*
-// thread gathers task t+1's input rows into a double-buffered staging
-// arena while the *execution* thread runs task t's cells on the intra-task
-// pool and scatters its outputs. Scatter stays in stream order and the
-// staging thread waits out read-after-write hazards against unscattered
-// tasks, so results are bitwise identical to SyncEngine at any depth and
-// any shard count.
+// The worker thread runs its stream in order: for each task it gathers
+// the input rows into its staging arena, runs the cells on the intra-task
+// pool, scatters the outputs and reports the completion before it pops
+// the next task. Task t has therefore scattered before task t+1 gathers,
+// so results are bitwise identical to SyncEngine at any depth and any
+// shard count.
 //
 // Thread-safety contract: a request's tensors are only touched by the
 // worker executing a task containing the request's nodes. The scheduler
@@ -107,8 +106,8 @@ struct ServerOptions : EngineOptions {
 enum class WorkerHealth : uint8_t {
   kHealthy = 0,
   kSlow,   // in-flight span exceeded slow_multiplier x predicted cost
-  kHung,   // quarantined: exec thread alive but past the hang threshold
-  kDead,   // quarantined: exec thread exited (respawned, awaiting re-admit)
+  kHung,   // quarantined: worker thread alive but past the hang threshold
+  kDead,   // quarantined: worker thread exited (respawned, awaiting re-admit)
 };
 const char* WorkerHealthName(WorkerHealth health);
 
@@ -117,12 +116,12 @@ struct WorkerHealthSnapshot {
   int worker = -1;
   WorkerHealth health = WorkerHealth::kHealthy;
   bool quarantined = false;
-  // Monotonic count of exec-thread progress events (heartbeats).
+  // Monotonic count of worker-thread progress events (heartbeats).
   int64_t heartbeat_epoch = 0;
-  // When the exec thread last made progress (micros since Start; 0 before
-  // the first heartbeat).
+  // When the worker thread last made progress (micros since Start; 0
+  // before the first heartbeat).
   double heartbeat_micros = 0.0;
-  // Stream seq of the task the exec thread is currently inside, -1 idle.
+  // Stream seq of the task the worker thread is currently inside, -1 idle.
   int64_t busy_task_seq = -1;
   // Lifetime counters (mirrors of metrics().worker(i)).
   int64_t quarantines = 0;
@@ -200,11 +199,10 @@ class Server {
   // Requests migrated across shards by the stealing protocol.
   int64_t StealsExecuted() const { return steals_.load(); }
 
-  // Total microseconds worker `worker`'s execution thread spent with
-  // nothing to execute (waiting for the manager to refill its stream or
-  // for the staging thread to finish a gather). The watermark protocol
-  // exists to shrink this; fig07 reports it per depth. Thread-safe; stable
-  // only after Shutdown.
+  // Total microseconds worker `worker`'s thread spent blocked on its empty
+  // task queue, waiting for the manager to refill its stream. The
+  // watermark protocol exists to shrink this; fig07 reports it per depth.
+  // Thread-safe; stable only after Shutdown.
   double WorkerIdleMicros(int worker) const;
   double TotalWorkerIdleMicros() const;
 
@@ -259,7 +257,7 @@ class Server {
   // Node *index* (into topology().nodes) worker `worker` was assigned;
   // -1 with numa_policy = none.
   int WorkerNode(int worker) const;
-  // Whether worker `worker`'s exec-thread affinity mask actually took
+  // Whether worker `worker`'s thread affinity mask actually took
   // (false until Start, when unpinnable — cpus excluded by taskset — or
   // with numa_policy = none). Thread-safe at any time.
   bool WorkerPinnedOk(int worker) const;
@@ -323,20 +321,15 @@ class Server {
   // undone stream)...
   struct QuarantineMsg {
     int worker;
-    bool dead;  // exec thread exited (vs hung: alive but stalled)
+    bool dead;  // worker thread exited (vs hung: alive but stalled)
   };
   // ...and later to re-admit it once a recovery probe passes.
   struct ReadmitMsg {
     int worker;
   };
-  // A staging thread hands back a task it popped but will not stage
-  // because its worker was quarantined mid-flight.
-  struct RequeueMsg {
-    BatchedTask task;
-  };
   using ManagerMsg = std::variant<ArrivalMsg, CompletionMsg, CancelMsg,
                                   StealRequestMsg, MigrateMsg, StealDenyMsg,
-                                  QuarantineMsg, ReadmitMsg, RequeueMsg>;
+                                  QuarantineMsg, ReadmitMsg>;
 
   // A task plus the request states it touches, resolved by the manager so
   // workers never read the request map.
@@ -345,8 +338,8 @@ class Server {
     std::vector<RequestState*> states;
   };
 
-  // Per-worker pipeline state shared by the staging and execution threads
-  // (defined in server.cc).
+  // Per-worker state shared by the worker thread, the owning shard's
+  // manager and the watchdog (defined in server.cc).
   struct WorkerPipeline;
   // One manager shard: processor, scheduler, inbox, deadline heap, steal
   // state and its slice of the workers (defined in server.cc).
@@ -354,8 +347,9 @@ class Server {
 
   void ManagerLoop(Shard& shard);
   void HandleMsg(Shard& shard, ManagerMsg msg);
-  void StageLoop(int worker);
-  void ExecLoop(int worker);
+  // One worker's thread: pops its stream's tasks in order and runs each
+  // through gather, execute and scatter before reporting its completion.
+  void WorkerLoop(int worker);
   void HandleArrival(Shard& shard, ArrivalMsg msg);
   void HandleCompletion(Shard& shard, CompletionMsg msg);
   void HandleCancel(Shard& shard, CancelMsg msg);
@@ -364,11 +358,10 @@ class Server {
   void HandleStealDeny(Shard& shard, const StealDenyMsg& msg);
   // ---- Worker failure domains (shard manager thread only) ----
   // Pulls `msg.worker` from scheduling and reclaims its undone stream:
-  // queued tasks, staged-but-unexecuted tasks, and (dead only) the task
-  // the exec thread died inside, all requeued via Scheduler::RequeueTask.
+  // queued tasks and (dead only) the task the worker thread died inside,
+  // all requeued via Scheduler::RequeueTask.
   void HandleQuarantine(Shard& shard, const QuarantineMsg& msg);
   void HandleReadmit(Shard& shard, const ReadmitMsg& msg);
-  void HandleRequeue(Shard& shard, RequeueMsg msg);
   // Requeues one reclaimed task (outstanding accounting + RequeueTask).
   void RequeueReclaimed(Shard& shard, int worker, const BatchedTask& task);
   // When every worker of `shard` is quarantined, pushes all stealable
@@ -376,7 +369,7 @@ class Server {
   void DonateAllStealable(Shard& shard);
   // Watchdog thread: samples worker heartbeats every
   // health.check_interval_micros, classifies, quarantines, respawns dead
-  // exec threads, and probes for re-admission with exponential backoff.
+  // worker threads, and probes for re-admission with exponential backoff.
   void WatchdogLoop();
   // One watchdog pass over one worker (split out for clarity).
   void WatchdogCheckWorker(int worker, double now_micros);
@@ -411,8 +404,8 @@ class Server {
   AdmissionOptions admission_;
   int num_shards_ = 1;
   // The execution device (EngineOptions::backend via DeviceRegistry).
-  // Owns gather/execute/scatter; the Server owns scheduling, hazards and
-  // the stream protocol. caps_ is a copy taken at construction.
+  // Owns gather/execute/scatter; the Server owns scheduling, failure
+  // poisoning and the stream protocol. caps_ is a copy taken at construction.
   std::unique_ptr<DeviceBackend> backend_;
   DeviceCaps caps_;
   TraceRecorder trace_;
@@ -429,7 +422,7 @@ class Server {
   Topology topology_;            // discovered only when numa_on_
   std::vector<int> worker_node_;  // worker -> node index; -1 when off
   std::vector<int> shard_node_;   // shard -> node of its workers; -1 when off
-  // Pin outcome per worker's exec thread, written once at thread start.
+  // Pin outcome per worker thread, written at thread start.
   std::unique_ptr<std::atomic<bool>[]> worker_pinned_;
 
   MetricsCollector metrics_;
@@ -461,7 +454,7 @@ class Server {
     double next_probe = 0.0;       // earliest next re-admission probe
     double backoff = 0.0;          // current probe backoff (micros)
     int64_t acks_wanted = 0;       // pipeline quarantine_acks value to wait for
-    bool respawned = false;        // dead exec thread already replaced
+    bool respawned = false;        // dead worker thread already replaced
   };
   std::vector<WorkerWatch> watch_;
   std::thread watchdog_thread_;
@@ -472,11 +465,10 @@ class Server {
   std::vector<std::unique_ptr<BlockingQueue<WorkerTask>>> task_queues_;
   std::vector<std::unique_ptr<WorkerPipeline>> pipelines_;
 
-  std::vector<std::thread> stager_threads_;  // one staging thread per worker
-  // One exec thread per worker, kept separate so the watchdog can join a
-  // dead one and respawn it in place. Written by Start, then only by the
-  // watchdog thread until it stops; Shutdown joins after the watchdog.
-  std::vector<std::thread> exec_threads_;
+  // One thread per worker; the watchdog joins a dead one and respawns it
+  // in place. Written by Start, then only by the watchdog thread until it
+  // stops; Shutdown joins after the watchdog.
+  std::vector<std::thread> worker_threads_;
   std::atomic<RequestId> next_request_id_{1};
   std::atomic<int64_t> tasks_executed_{0};
   std::atomic<int64_t> tasks_failed_{0};

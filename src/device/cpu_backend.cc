@@ -105,7 +105,6 @@ CpuBackend::CpuBackend(const CellRegistry* registry, Precision precision)
   BM_CHECK(registry != nullptr);
   caps_.real_compute = true;
   caps_.requires_gather = true;
-  caps_.max_pipeline_depth = 0;  // unbounded
   caps_.supports_numa_pinning = true;
   caps_.supports_intra_task_pool = true;
   caps_.supports_watchdog = true;
@@ -128,9 +127,9 @@ void CpuBackend::Gather(const BatchedTask& task,
                         const std::vector<RequestState*>& states,
                         GatheredBatch* out, DeviceArena* staging,
                         const std::vector<uint8_t>* poisoned) const {
-  // No pool: the execution thread owns the worker's intra-task pool, and
-  // the pool admits one submitter at a time. Staging gathers serially —
-  // it is off the critical path whenever it overlaps an execution.
+  // No pool: the worker's intra-task pool lives in its CpuQueue, which the
+  // gather does not see, so rows are copied serially. The gather is a
+  // small share of a task (DESIGN.md "Pipelined worker streams").
   const ExecContext stage_ctx{/*pool=*/nullptr,
                               staging != nullptr ? staging->host() : nullptr,
                               precision_};

@@ -11,25 +11,25 @@
 //   * DeviceQueue  — one per-worker in-order submission queue: enqueue a
 //     gathered task, get back a completion event. FIFO per queue is a
 //     contract, not an implementation detail — subgraph pinning and the
-//     hazard bookkeeping in the Server rely on it (paper §5: kernels
+//     failure poisoning in the Server rely on it (paper §5: kernels
 //     pushed to the same stream execute in submission order).
-//   * DeviceEvent  — the fence for one submitted task: the manager-side
-//     thread waits on it and collects the outputs (or the failure flag).
+//   * DeviceEvent  — the fence for one submitted task: the worker thread
+//     waits on it and collects the outputs (or the failure flag).
 //   * DeviceBackend — the factory for the above plus capability flags and
 //     the gather/scatter entry points.
 //
 // Ownership and threading rules:
 //   * CreateArena() may be called from any thread; the arena is then owned
-//     by one worker's staging thread (Prefault/Reset from that thread).
-//   * CreateQueue() is called on the worker's *execution* thread, after
-//     any NUMA pinning — so backend allocations inside the queue (thread
-//     pools, scratch arenas, weight replicas) inherit the thread's
-//     affinity and first-touch placement. The queue dies on that thread
-//     too (quarantine respawns re-create it).
-//   * Gather() runs on the staging thread, Submit()/Scatter() on the
-//     execution thread; the engine guarantees a task's gather
-//     happens-before its submit and never overlaps another task using the
-//     same arena parity.
+//     by one worker thread (Prefault/Reset from that thread).
+//   * CreateQueue() is called on the worker thread, after any NUMA
+//     pinning — so backend allocations inside the queue (thread pools,
+//     scratch arenas, weight replicas) inherit the thread's affinity and
+//     first-touch placement. The queue dies on that thread too
+//     (quarantine respawns re-create it).
+//   * Gather(), Submit() and Scatter() all run on the worker thread, one
+//     task at a time: the engine gathers a task, submits it, waits, and
+//     scatters it before it gathers the next, and resets the arena in
+//     between.
 //
 // The header is dependency-light by design (tensor + runtime + graph
 // layers only, RequestState forward-declared) so the virtual-time worker
@@ -71,9 +71,9 @@ struct GatheredBatch {
 };
 
 // Per-backend capability flags, consumed by the engines instead of
-// CPU-specific assumptions: the Server clamps its pipeline depth, gates
-// NUMA placement and the health watchdog, and skips the gather stage
-// entirely for backends that stage nothing.
+// CPU-specific assumptions: the Server gates NUMA placement and the health
+// watchdog, and skips the gather stage entirely for backends that stage
+// nothing.
 struct DeviceCaps {
   // Executes real kernels on real tensors (outputs are meaningful data).
   bool real_compute = false;
@@ -81,12 +81,9 @@ struct DeviceCaps {
   // Virtual-time backends are driven by SimEngine, never by the Server.
   bool virtual_time = false;
   // Requires batched input rows gathered into a DeviceArena before Submit.
-  // When false the Server's staging thread skips GatherInputs (hazard
-  // bookkeeping still runs — stream-order invariants are backend-agnostic).
+  // When false the Server's worker thread skips GatherInputs (failure
+  // poisoning still runs — stream-order invariants are backend-agnostic).
   bool requires_gather = false;
-  // Deepest useful per-worker submission pipeline; 0 = unbounded. The
-  // Server clamps EngineOptions::pipeline_depth to this.
-  int max_pipeline_depth = 0;
   // Worker threads may be pinned to NUMA nodes and benefit from node-local
   // staging/scratch placement and weight replicas.
   bool supports_numa_pinning = false;
@@ -263,8 +260,8 @@ class DeviceBackend {
   virtual const char* name() const = 0;
   virtual const DeviceCaps& caps() const = 0;
 
-  // One staging buffer (the Server allocates two per worker for the
-  // double-buffered pipeline). Default: the no-op arena.
+  // One staging buffer (the Server allocates one per worker). Default: the
+  // no-op arena.
   virtual std::unique_ptr<DeviceArena> CreateArena() {
     return std::make_unique<DeviceArena>();
   }
@@ -274,7 +271,7 @@ class DeviceBackend {
   // construction failure).
   virtual std::unique_ptr<DeviceQueue> CreateQueue(const DeviceQueueOptions& options) = 0;
 
-  // Gather stage (staging thread): batch one row per task entry, per cell
+  // Gather stage (worker thread): batch one row per task entry, per cell
   // input slot, into `staging`. No-op default for backends with
   // !caps().requires_gather.
   virtual void Gather(const BatchedTask& task,

@@ -59,9 +59,9 @@ NullBackend::NullBackend(const CellRegistry* registry, double latency_micros)
       assembler_(registry) {
   BM_CHECK(registry != nullptr);
   BM_CHECK_GE(latency_micros, 0.0);
-  // requires_gather stays false: staging threads skip GatherInputs, which
+  // requires_gather stays false: worker threads skip GatherInputs, which
   // is the point — the null device reads no input rows. The watchdog still
-  // works (Submit makes heartbeat-visible progress on the exec thread).
+  // works (Submit makes heartbeat-visible progress on the worker thread).
   caps_.supports_watchdog = true;
   for (bool& p : caps_.supported_precisions) {
     p = true;  // nothing is computed at any precision

@@ -3,8 +3,8 @@
 // Submit skips gather and execution entirely and completes each task with
 // zero-filled output tensors of the correct batched shapes, after a
 // configurable fixed latency (DeviceConfig::null_latency_micros). That
-// isolates the engine's own machinery — scheduling, pipelining, hazard
-// bookkeeping, watchdog — from kernel cost, so fig05/fig09-style runs and
+// isolates the engine's own machinery — scheduling, pipelining, failure
+// poisoning, watchdog — from kernel cost, so fig05/fig09-style runs and
 // stress tests can drive the full Server control path without paying for
 // (or being perturbed by) GEMMs.
 

@@ -99,7 +99,7 @@ void CellExecutor::AcquireNodeReplica(int node, Precision p) const {
     return;
   }
   // Re-pack from the source weights on the calling thread: under the pin
-  // policies the caller is the node's own exec thread, so first-touch
+  // policies the caller is the node's own worker thread, so first-touch
   // places every panel page on `node`. Packing is deterministic, keeping
   // replica reads bitwise-identical to the shared packs.
   auto& packs = rep.packs[slot];

@@ -60,7 +60,7 @@ enum class TraceEventKind : uint8_t {
   kWorkerPinned,        // worker; value = NUMA node index, id = 1 if pinned
   kWorkerQuarantine,    // worker; value = tasks requeued, id = 1 if dead
   kWorkerReadmit,       // worker; aux_micros = quarantine-entry timestamp
-  kWorkerRespawn,       // worker (dead exec thread replaced)
+  kWorkerRespawn,       // worker (dead worker thread replaced)
 };
 inline constexpr int kNumTraceEventKinds = 23;
 
@@ -129,11 +129,10 @@ class TraceRecorder {
   // Pipelined worker streams (see DESIGN.md "Pipelined worker streams"):
   // the manager refilled a worker's stream with `num_tasks` tasks...
   void StreamRefill(int worker, int num_tasks);
-  // ...a staging thread gathered a task's inputs while the previous task
-  // executed...
+  // ...a worker thread gathered a task's inputs...
   void GatherBegin(uint64_t task_id, CellTypeId type, int worker, int batch_size);
   void GatherEnd(uint64_t task_id, CellTypeId type, int worker, int batch_size);
-  // ...and a worker's execution thread sat idle between tasks for the span
+  // ...and a worker thread sat blocked on its empty task queue for the span
   // [begin, end) — the gap the watermark protocol exists to shrink.
   void WorkerIdle(double begin_micros, double end_micros, int worker);
   void Migration(RequestId id, int from_worker, int to_worker);
@@ -167,14 +166,14 @@ class TraceRecorder {
   // excluded by taskset/cgroups and the worker runs unpinned).
   void WorkerPinned(int worker, int numa_node, bool pinned);
   // Worker failure domains (DESIGN.md): the watchdog quarantined a worker
-  // (`dead` = its exec thread exited, vs hung) and its shard requeued
-  // `tasks_requeued` in-flight tasks...
+  // (`dead` = its thread exited, vs hung) and its shard requeued
+  // `tasks_requeued` undone tasks...
   void WorkerQuarantine(int worker, bool dead, int tasks_requeued);
   // ...the worker passed a recovery probe and re-admitted to scheduling
   // (`since_micros` = when it was quarantined, so time-to-recovery is
   // derivable from the trace alone)...
   void WorkerReadmit(int worker, double since_micros);
-  // ...and a dead exec thread was respawned.
+  // ...and a dead worker thread was respawned.
   void WorkerRespawn(int worker);
 
   // Tags the calling thread with a manager-shard id: every event recorded

@@ -16,8 +16,6 @@ uint64_t SplitMix64(uint64_t* x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -25,18 +23,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& word : state_) {
     word = SplitMix64(&s);
   }
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBelow(uint64_t n) {
@@ -56,13 +42,6 @@ int64_t Rng::NextInt(int64_t lo, int64_t hi) {
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(NextBelow(span));
 }
-
-double Rng::NextDouble() {
-  // 53 random mantissa bits.
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::NextUniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
 double Rng::NextGaussian() {
   if (has_cached_gaussian_) {

@@ -17,8 +17,22 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
+  // The per-draw functions are defined here so callers inline them: weight
+  // initialization draws once per parameter (millions per model), and an
+  // out-of-line call per draw cost more than the draw itself.
+
   // Uniform over all 64-bit values.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform in [0, n). Requires n > 0.
   uint64_t NextBelow(uint64_t n);
@@ -26,11 +40,11 @@ class Rng {
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t NextInt(int64_t lo, int64_t hi);
 
-  // Uniform in [0, 1).
-  double NextDouble();
+  // Uniform in [0, 1): 53 random mantissa bits.
+  double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
   // Uniform in [lo, hi).
-  double NextUniform(double lo, double hi);
+  double NextUniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
   // Standard normal via Box-Muller.
   double NextGaussian();
@@ -43,6 +57,8 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
   // Cached second Box-Muller variate.
   bool has_cached_gaussian_ = false;

@@ -125,8 +125,8 @@ TEST(DeterminismTest, ThreadedServerMatchesSyncEngineBitwise) {
 }
 
 TEST(DeterminismTest, PipelinedStreamsMatchSyncEngineBitwiseAtAnyDepth) {
-  // The pipelined worker streams (watermark refill + overlapped
-  // gather/execute/scatter) must not perturb a single bit: at every
+  // The pipelined worker streams (watermark refill, each worker thread
+  // running its stream in order) must not perturb a single bit: at every
   // pipeline_depth x num_workers combination the server's outputs equal
   // the serial SyncEngine's exactly.
   constexpr int kRequests = 20;

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/core/request.h"
 #include "src/device/cpu_backend.h"
 #include "src/device/device_backend.h"
 #include "src/device/device_registry.h"
@@ -69,7 +71,7 @@ TEST(DeviceRegistryTest, UnknownOrMisconfiguredBackendsCreateNull) {
 // builtins the engines resolve through EngineOptions::backend.
 class FixedCapsBackend : public DeviceBackend {
  public:
-  FixedCapsBackend() { caps_.max_pipeline_depth = 1; }
+  FixedCapsBackend() { caps_.supports_watchdog = true; }
   const char* name() const override { return "test-fixed"; }
   const DeviceCaps& caps() const override { return caps_; }
   std::unique_ptr<DeviceQueue> CreateQueue(const DeviceQueueOptions&) override {
@@ -88,17 +90,8 @@ TEST(DeviceRegistryTest, ThirdPartyBackendsRegisterByName) {
   ASSERT_TRUE(reg.Has("test-fixed"));
   auto backend = reg.Create("test-fixed", DeviceConfig{});
   ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->caps().max_pipeline_depth, 1);
-}
-
-TEST(DeviceRegistryTest, OpenClIsBuildGated) {
-  DeviceRegistry& reg = DeviceRegistry::Instance();
-  if (reg.Has("opencl")) {
-    // Built with CB_WITH_OPENCL: the stub reports unavailable (null) until
-    // a real implementation lands; creation must not crash either way.
-    auto backend = reg.Create("opencl", DeviceConfig{});
-    EXPECT_EQ(backend, nullptr);
-  }
+  EXPECT_STREQ(backend->name(), "test-fixed");
+  EXPECT_TRUE(backend->caps().supports_watchdog);
 }
 
 // ---- Capability flags ------------------------------------------------------
@@ -112,7 +105,6 @@ TEST(DeviceCapsTest, PerBackendFlagsMatchTheirContracts) {
   EXPECT_TRUE(cpu->caps().real_compute);
   EXPECT_FALSE(cpu->caps().virtual_time);
   EXPECT_TRUE(cpu->caps().requires_gather);
-  EXPECT_EQ(cpu->caps().max_pipeline_depth, 0);  // unbounded
   EXPECT_TRUE(cpu->caps().supports_numa_pinning);
   EXPECT_TRUE(cpu->caps().supports_intra_task_pool);
   EXPECT_TRUE(cpu->caps().supports_watchdog);
@@ -186,8 +178,8 @@ TEST(DeviceArenaTest, CpuArenaExposesHostStorageNullArenaDoesNot) {
   ASSERT_NE(arena, nullptr);
   ASSERT_NE(arena->host(), nullptr);
   arena->Prefault(size_t{1} << 16);
-  // The arena is reusable across pipeline parities: allocate, reset, and
-  // the next gather can allocate again.
+  // The arena is reusable across tasks: allocate, reset, and the next
+  // gather can allocate again.
   Tensor staged = Tensor::Zeros(Shape{2, 4});
   (void)staged;
   arena->Reset();
@@ -200,6 +192,62 @@ TEST(DeviceArenaTest, CpuArenaExposesHostStorageNullArenaDoesNot) {
   EXPECT_EQ(null_arena->host(), nullptr);  // stages nothing
   null_arena->Prefault(size_t{1} << 16);   // no-ops by contract
   null_arena->Reset();
+}
+
+// A task mixing poisoned and clean entries gathers zero rows for the
+// poisoned ones (their producer failed and wrote nothing) and the
+// producers' rows for the clean ones.
+TEST(CpuBackendTest, GatherZeroFillsPoisonedRowsBesideCleanOnes) {
+  TinyLstmFixture fix;
+  const CellTypeId type = fix.model.cell_type();
+  const CellDef& def = fix.registry.def(type);
+  CpuBackend cpu(&fix.registry, Precision::kF32);
+  Rng rng(7);
+
+  // Step 1 of two 2-step chains; only the first chain's step 0 produced.
+  BatchedTask task;
+  task.id = 1;
+  task.type = type;
+  std::vector<std::unique_ptr<RequestState>> owned;
+  std::vector<RequestState*> states;
+  for (RequestId id : {RequestId{1}, RequestId{2}}) {
+    auto state = std::make_unique<RequestState>();
+    state->id = id;
+    state->graph = fix.model.Unfold(2);
+    for (int e = 0; e < 4; ++e) {  // x0, x1, h0, c0
+      state->externals.push_back(Tensor::RandomUniform(Shape{1, 4}, 1.0f, &rng));
+    }
+    state->node_outputs.resize(2);
+    task.entries.push_back(TaskEntry{id, 1});
+    states.push_back(state.get());
+    owned.push_back(std::move(state));
+  }
+  for (int o = 0; o < def.NumOutputs(); ++o) {
+    states[0]->node_outputs[0].push_back(Tensor::RandomUniform(Shape{1, 4}, 1.0f, &rng));
+  }
+  const std::vector<uint8_t> poisoned = {0, 1};
+
+  const auto arena = cpu.CreateArena();
+  GatheredBatch gathered;
+  cpu.Gather(task, states, &gathered, arena.get(), &poisoned);
+  ASSERT_EQ(gathered.inputs.size(), static_cast<size_t>(def.NumInputs()));
+  const CellNode& node = states[0]->graph.node(1);
+  for (int slot = 0; slot < def.NumInputs(); ++slot) {
+    const Tensor& in = gathered.inputs[static_cast<size_t>(slot)];
+    ASSERT_EQ(in.shape().Dim(0), 2) << "slot " << slot;
+    const ValueRef& ref = node.inputs[static_cast<size_t>(slot)];
+    const Tensor& src =
+        ref.is_external()
+            ? states[0]->externals[static_cast<size_t>(ref.external)]
+            : states[0]->node_outputs[static_cast<size_t>(ref.node)]
+                                     [static_cast<size_t>(ref.output)];
+    for (int64_t c = 0; c < in.shape().Dim(1); ++c) {
+      EXPECT_EQ(in.At(0, c), src.At(0, c)) << "slot " << slot;
+      EXPECT_EQ(in.At(1, c), 0.0f) << "slot " << slot;
+    }
+  }
+  gathered.inputs.clear();
+  arena->Reset();
 }
 
 // ---- Null backend queue ----------------------------------------------------

@@ -266,7 +266,7 @@ TEST(NumaPlacementTest, ServerReleasesReplicasOnShutdown) {
       server.SubmitAndWait(fix.model.Unfold(4), std::move(ext), {ValueRef::Output(3, 0)});
   EXPECT_TRUE(res.ok());
 
-  // Exec threads hold node replicas while the server runs...
+  // Worker threads hold node replicas while the server runs...
   EXPECT_GT(fix.registry.executor(fix.model.cell_type()).NumNodeReplicas(), 0);
   server.Shutdown();
   // ...and the last worker of each node frees them on the way out.

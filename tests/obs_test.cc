@@ -238,8 +238,8 @@ TEST(TraceExportTest, PipelineEventsExport) {
 
 TEST(TraceIntegrationTest, ServerTracesPipelinedStreams) {
   // End to end on the real server: every executed task was refilled into a
-  // stream and gathered by the staging thread, so the pipeline event
-  // counts line up with the exec spans.
+  // stream and gathered by its worker thread before executing, so the
+  // pipeline event counts line up with the exec spans.
   TinyLstmFixture fix;
   ServerOptions options;
   options.num_workers = 2;

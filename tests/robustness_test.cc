@@ -12,6 +12,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -393,52 +394,59 @@ TEST(RobustnessTest, FaultRateEveryRequestGetsExactlyOneStatus) {
   const auto requests = MakeChainRequests(lengths, kHidden, /*seed=*/36);
   const auto reference = ReferenceOutputs(&fix.registry, fix.model, requests, kHidden);
 
-  ServerOptions options;
-  options.num_workers = 2;
-  options.pipeline_depth = 2;
-  options.fault.fail_rate = 0.2;
-  options.fault.fail_task_id = 0;  // guarantee at least one fault fires
-  options.fault.seed = 123;
-  Server server(&fix.registry, options);
-  server.Start();
+  // Every depth: at depth 1 a consumer is formed only after its producer's
+  // failure reached the manager; deeper streams already hold consumers
+  // queued behind a failing producer, so the poison cascade spans tasks.
+  for (int depth : {1, 2, 4}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    ServerOptions options;
+    options.num_workers = 2;
+    options.pipeline_depth = depth;
+    options.fault.fail_rate = 0.2;
+    options.fault.fail_task_id = 0;  // guarantee at least one fault fires
+    options.fault.seed = 123;
+    Server server(&fix.registry, options);
+    server.Start();
 
-  std::mutex mu;
-  std::map<RequestId, int> callback_counts;
-  std::map<RequestId, RequestStatus> statuses;
-  std::map<RequestId, std::vector<Tensor>> outputs;
-  std::vector<RequestId> ids;
-  for (const ChainRequest& r : requests) {
-    ids.push_back(server.Submit(
-        fix.model.Unfold(r.length), MakeChainExternals(r.xs, kHidden),
-        {ValueRef::Output(r.length - 1, 0)},
-        [&](RequestId rid, RequestStatus status, std::vector<Tensor> out) {
-          std::lock_guard<std::mutex> lock(mu);
-          callback_counts[rid]++;
-          statuses[rid] = status;
-          outputs[rid] = std::move(out);
-        }));
-  }
-  server.Shutdown();
-
-  EXPECT_GE(server.TasksFailed(), 1);
-  ASSERT_EQ(callback_counts.size(), ids.size());
-  size_t ok = 0, failed = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(callback_counts.at(ids[i]), 1) << "request " << i;
-    const RequestStatus status = statuses.at(ids[i]);
-    if (status == RequestStatus::kOk) {
-      ++ok;
-      ASSERT_EQ(outputs.at(ids[i]).size(), 1u);
-      EXPECT_TRUE(outputs.at(ids[i])[0].ElementsEqual(reference[i])) << "request " << i;
-    } else {
-      ASSERT_EQ(status, RequestStatus::kFailed) << "request " << i;
-      ++failed;
-      EXPECT_TRUE(outputs.at(ids[i]).empty());
+    std::mutex mu;
+    std::map<RequestId, int> callback_counts;
+    std::map<RequestId, RequestStatus> statuses;
+    std::map<RequestId, std::vector<Tensor>> outputs;
+    std::vector<RequestId> ids;
+    for (const ChainRequest& r : requests) {
+      ids.push_back(server.Submit(
+          fix.model.Unfold(r.length), MakeChainExternals(r.xs, kHidden),
+          {ValueRef::Output(r.length - 1, 0)},
+          [&](RequestId rid, RequestStatus status, std::vector<Tensor> out) {
+            std::lock_guard<std::mutex> lock(mu);
+            callback_counts[rid]++;
+            statuses[rid] = status;
+            outputs[rid] = std::move(out);
+          }));
     }
+    server.Shutdown();
+
+    EXPECT_GE(server.TasksFailed(), 1);
+    ASSERT_EQ(callback_counts.size(), ids.size());
+    size_t ok = 0, failed = 0;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(callback_counts.at(ids[i]), 1) << "request " << i;
+      const RequestStatus status = statuses.at(ids[i]);
+      if (status == RequestStatus::kOk) {
+        ++ok;
+        ASSERT_EQ(outputs.at(ids[i]).size(), 1u);
+        EXPECT_TRUE(outputs.at(ids[i])[0].ElementsEqual(reference[i]))
+            << "request " << i;
+      } else {
+        ASSERT_EQ(status, RequestStatus::kFailed) << "request " << i;
+        ++failed;
+        EXPECT_TRUE(outputs.at(ids[i]).empty());
+      }
+    }
+    EXPECT_EQ(ok + failed, ids.size());
+    EXPECT_EQ(server.metrics().NumCompleted(), ok);
+    EXPECT_EQ(server.metrics().NumFailed(), failed);
   }
-  EXPECT_EQ(ok + failed, ids.size());
-  EXPECT_EQ(server.metrics().NumCompleted(), ok);
-  EXPECT_EQ(server.metrics().NumFailed(), failed);
 }
 
 // --- Cancellation under pipelined streams ----------------------------------

@@ -6,9 +6,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -307,9 +310,11 @@ TEST(ServerTest, SubmitAndWaitEmptyOutputSetIsEngaged) {
 
 TEST(ServerTest, PipelinedStreamsMatchReferenceUnderLoad) {
   // Depth-4 streams on two workers with multi-threaded intra-task pools:
-  // the staging thread overlaps gathers with execution, so this doubles as
-  // the TSan stress for the pipeline's hazard tracking. Results must still
-  // match the sequential reference exactly per request.
+  // each worker thread holds up to three queued tasks behind the one it
+  // runs, and a chained request's next step often waits in the same
+  // stream as its producer, so this doubles as the TSan stress for
+  // stream-order execution. Results must still match the sequential
+  // reference exactly per request.
   TinyLstmFixture fix;
   ServerOptions options;
   options.num_workers = 2;
@@ -353,6 +358,47 @@ TEST(ServerTest, PipelinedStreamsMatchReferenceUnderLoad) {
   EXPECT_EQ(server.metrics().NumCompleted(), static_cast<size_t>(kRequests));
 }
 
+#if defined(__linux__)
+// Names of this process's threads, read from /proc.
+std::vector<std::string> ThreadNames() {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(entry.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    names.push_back(name);
+  }
+  return names;
+}
+#endif
+
+TEST(ServerTest, StartsOneThreadPerWorker) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "thread names are read from /proc";
+#else
+  TinyLstmFixture fix;
+  ServerOptions options;
+  options.num_workers = 3;
+  Server server(&fix.registry, options);
+  server.Start();
+  // Each worker's thread names itself worker/N once it runs.
+  const auto count_workers = [] {
+    int n = 0;
+    for (const std::string& name : ThreadNames()) {
+      n += name.rfind("worker/", 0) == 0 ? 1 : 0;
+    }
+    return n;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (count_workers() < options.num_workers &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(count_workers(), options.num_workers);
+  server.Shutdown();
+#endif
+}
+
 TEST(ServerTest, WorkerIdleMetricAccumulates) {
   TinyLstmFixture fix;
   ServerOptions options;
@@ -364,7 +410,7 @@ TEST(ServerTest, WorkerIdleMetricAccumulates) {
   server.SubmitAndWait(fix.model.Unfold(1), MakeChainExternals(xs, 4),
                        {ValueRef::Output(0, 0)});
   server.Shutdown();
-  // Both exec threads spent time waiting for work (at minimum the gap
+  // Both worker threads spent time waiting for work (at minimum the gap
   // between Start and the first task / shutdown), and the total is the sum
   // of the per-worker figures.
   EXPECT_GT(server.TotalWorkerIdleMicros(), 0.0);

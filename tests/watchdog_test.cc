@@ -1,6 +1,6 @@
 // Tests for worker failure domains (DESIGN.md "Worker failure domains"):
 // the heartbeat watchdog's healthy / slow / hung / dead classification,
-// quarantine + requeue of a flagged worker's stream, dead exec-thread
+// quarantine + requeue of a flagged worker's stream, dead worker-thread
 // respawn, and probe-based re-admission — all driven through the
 // FaultInjector's deterministic worker-chaos modes. The invariant under
 // test throughout: a hung, killed, or slowed worker delays requests but
@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -264,7 +265,7 @@ TEST(WatchdogTest, DeadExecThreadRespawnedRequestsRecoverBitwise) {
   ServerOptions options;
   options.num_workers = 2;
   options.pipeline_depth = 2;
-  // Worker 0's exec thread exits while holding its seq-0 task; the task is
+  // Worker 0's thread exits while holding its seq-0 task; the task is
   // reclaimed from the in-flight copy and requeued, the corpse joined, a
   // replacement thread spawned, and the worker re-admitted.
   options.fault.chaos_worker = 0;
@@ -280,7 +281,7 @@ TEST(WatchdogTest, DeadExecThreadRespawnedRequestsRecoverBitwise) {
   const ChainRun run = SubmitAndAwaitAll(&server, fix.model, requests, kHidden);
   EXPECT_GE(server.Quarantines(), 1);
   EXPECT_GE(server.RequeuedTasks(), 1);  // the in-flight task was reclaimed
-  // Readmission implies the replacement exec thread is already up, so the
+  // Readmission implies the replacement thread is already up, so the
   // respawn counter is only checked afterwards (the respawn can land after
   // the requests themselves drain through the surviving worker).
   AwaitReadmission(server, /*worker=*/0);
@@ -345,25 +346,30 @@ TEST(WatchdogTest, SeededHangRateExactlyOneCallbackPerRequest) {
   const auto requests = MakeChainRequests(lengths, kHidden, /*seed=*/96);
   const auto reference = ReferenceOutputs(&fix.registry, fix.model, requests, kHidden);
 
-  ServerOptions options;
-  options.num_workers = 3;
-  options.pipeline_depth = 2;
-  // Each of worker 0's stream seqs hangs independently (seeded hash), so
-  // the worker can be quarantined, re-admitted, and hung again.
-  options.fault.chaos_worker = 0;
-  options.fault.chaos_rate = 0.25;
-  options.fault.seed = 97;
-  options.fault.chaos_hang_micros = 30000.0;
-  options.health.health_watchdog = true;
-  options.health.check_interval_micros = 500.0;
-  options.health.min_hang_micros = 2000.0;
-  options.health.probe_backoff_micros = 500.0;
-  Server server(&fix.registry, options);
-  server.Start();
+  // Every depth: a quarantine lands while the hung worker holds one popped
+  // task and has up to depth - 1 more queued behind it.
+  for (int depth : {1, 2, 4}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    ServerOptions options;
+    options.num_workers = 3;
+    options.pipeline_depth = depth;
+    // Each of worker 0's stream seqs hangs independently (seeded hash), so
+    // the worker can be quarantined, re-admitted, and hung again.
+    options.fault.chaos_worker = 0;
+    options.fault.chaos_rate = 0.25;
+    options.fault.seed = 97;
+    options.fault.chaos_hang_micros = 30000.0;
+    options.health.health_watchdog = true;
+    options.health.check_interval_micros = 500.0;
+    options.health.min_hang_micros = 2000.0;
+    options.health.probe_backoff_micros = 500.0;
+    Server server(&fix.registry, options);
+    server.Start();
 
-  const ChainRun run = SubmitAndAwaitAll(&server, fix.model, requests, kHidden);
-  server.Shutdown();
-  ExpectAllOkBitwise(run, reference);
+    const ChainRun run = SubmitAndAwaitAll(&server, fix.model, requests, kHidden);
+    server.Shutdown();
+    ExpectAllOkBitwise(run, reference);
+  }
 }
 
 // --- FaultInjectorOptions validation ----------------------------------------
