@@ -299,7 +299,10 @@ int RequestProcessor::MarkScheduled(Subgraph* sg, const std::vector<int>& nodes)
         continue;  // cross-subgraph edges are satisfied by completion
       }
       BM_CHECK_GT(succ_node.unmet_internal, 0);
-      if (--succ_node.unmet_internal == 0 && succ_node.unmet_external == 0) {
+      if (--succ_node.unmet_internal == 0 && succ_node.unmet_external == 0 &&
+          succ_node.stage != NodeStage::kCancelled) {
+        // (A cancelled successor: early termination cut the chain while a
+        // reverted predecessor was in flight, and that predecessor runs again.)
         BM_CHECK(succ_node.stage == NodeStage::kPending);
         succ_node.stage = NodeStage::kReady;
         sg->ready.push_back(succ);

@@ -375,9 +375,13 @@ void Scheduler::UnparkSubgraph(Subgraph* sg) {
   if (unpark_hook_) {
     unpark_hook_(sg);
   }
-  if (sg->cancelled || sg->unscheduled == 0) {
+  if (sg->unscheduled == 0) {
     return;  // cancelled while parked; nothing left to schedule
   }
+  // Early termination may have cancelled the subgraph's remainder while the
+  // reverted nodes were still in flight; they were scheduled before the
+  // cancel, so they run again as they would have without the failure.
+  sg->cancelled = false;
   // Recompute the ready set from the dependency counters: reverted nodes
   // whose (re-credited) predecessors are all scheduled-or-completed become
   // ready again. With zero tasks in flight the chain must bottom out in at

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <future>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -112,67 +110,14 @@ struct Server::WorkerPipeline {
   std::atomic<int64_t> quarantine_acks{0};
 };
 
-// One manager shard (DESIGN.md "Sharded manager"): a full single-manager
-// slice of the server — its own RequestProcessor + Scheduler (so subgraph
-// queues, pinning and failure parking are shard-private), its own inbox,
-// deadline heap and submission bookkeeping, and a contiguous range
-// [worker_begin, worker_end) of the workers. The only cross-shard traffic
-// is the stealing protocol (StealRequestMsg / MigrateMsg / StealDenyMsg)
-// and the global drain counter; everything else a shard touches is owned
-// by its manager thread alone.
+// One manager shard (DESIGN.md "Sharded manager"): the clock-free
+// ShardManager plus what makes it run in real time — an inbox that
+// completions, arrivals, cancels, peer steal traffic and watchdog requests
+// land in, and the manager thread that drains it.
 struct Server::Shard {
-  int id = 0;
-  int worker_begin = 0;
-  int worker_end = 0;  // exclusive
-
-  std::unique_ptr<RequestProcessor> processor;
-  std::unique_ptr<Scheduler> scheduler;
-  BlockingQueue<ManagerMsg> inbox;
-
-  // Submission bookkeeping, keyed by request id; entries migrate with the
-  // request when it is stolen.
-  std::unordered_map<RequestId, std::vector<ValueRef>> outputs_wanted;
-  std::unordered_map<RequestId, ResponseFn> callbacks;
-  std::unordered_map<RequestId, TerminationFn> terminations;
-
-  // In-flight task count per owned worker, indexed worker - worker_begin.
-  std::vector<int> outstanding;
-  int refill_start = 0;  // rotating scan start (local worker offset)
-  // Workers the watchdog quarantined (indexed worker - worker_begin):
-  // excluded from every refill / steal / donate scan until re-admitted.
-  // Touched only by this shard's manager; always all-zero with the
-  // watchdog off.
-  std::vector<uint8_t> quarantined;
-
-  // Min-heap of (absolute shed deadline, request). Entries for requests
-  // that finished or migrated away are discarded lazily when they surface.
-  std::priority_queue<std::pair<double, RequestId>,
-                      std::vector<std::pair<double, RequestId>>,
-                      std::greater<std::pair<double, RequestId>>>
-      deadlines;
-
-  // ---- Stealing state (all touched only by this shard's manager) ----
-  // Steal candidates ordered by (priority, id): lowest priority first,
-  // oldest first among equals. Entries go stale when a request is
-  // scheduled, terminal, or gone; PopStealable discards them lazily (the
-  // completion path also erases eagerly).
-  std::set<std::pair<int, RequestId>> stealable;
-  // One outstanding steal round at a time: a StealRequestMsg is in flight
-  // (or bouncing through denials) until a migration lands or every peer
-  // denied.
-  bool steal_pending = false;
-  int steal_next = 0;     // peer the current round last asked
-  int steal_denials = 0;  // denials received this round
-  // Peers whose steal request this shard denied; when this shard's workers
-  // saturate with stealable surplus left over, it donates to them unasked.
-  std::vector<int> hungry;
-  // Cancels that arrived for requests this shard does not (yet) own. A
-  // cancel broadcast can reach the thief before the migration it races
-  // with; the tombstone cancels the request the moment it is adopted.
-  // Pruned whenever the server drains (no in-flight request ⇒ no in-flight
-  // migration ⇒ every tombstone is stale).
-  std::unordered_set<RequestId> pending_cancels;
-
+  explicit Shard(std::unique_ptr<ShardManager> manager) : core(std::move(manager)) {}
+  std::unique_ptr<ShardManager> core;
+  BlockingQueue<ShardMsg> inbox;
   std::thread thread;
 };
 
@@ -297,141 +242,29 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
     metrics_.InitNodes(static_cast<int>(topology_.nodes.size()));
   }
 
+  // A shard's workers share one node whenever shards don't outnumber
+  // nodes (the boundary snapping above); its manager pins there too.
   for (int s = 0; s < num_shards_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    Shard* sh = shard.get();
-    sh->id = s;
-    sh->worker_begin = shard_bounds[static_cast<size_t>(s)];
-    sh->worker_end = shard_bounds[static_cast<size_t>(s) + 1];
-    BM_CHECK_LT(sh->worker_begin, sh->worker_end);
-    // A shard's workers share one node whenever shards don't outnumber
-    // nodes (the boundary snapping above); its manager pins there too.
     shard_node_.push_back(
-        numa_on_ ? worker_node_[static_cast<size_t>(sh->worker_begin)] : -1);
-    for (int w = sh->worker_begin; w < sh->worker_end; ++w) {
+        numa_on_ ? worker_node_[static_cast<size_t>(shard_bounds[static_cast<size_t>(s)])]
+                 : -1);
+  }
+  for (int s = 0; s < num_shards_; ++s) {
+    const int begin = shard_bounds[static_cast<size_t>(s)];
+    const int end = shard_bounds[static_cast<size_t>(s) + 1];
+    for (int w = begin; w < end; ++w) {
       shard_of_worker_[static_cast<size_t>(w)] = s;
     }
-    sh->outstanding.assign(static_cast<size_t>(sh->worker_end - sh->worker_begin), 0);
-    sh->quarantined.assign(static_cast<size_t>(sh->worker_end - sh->worker_begin), 0);
-    sh->steal_next = s;
-
-    sh->processor = std::make_unique<RequestProcessor>(
-        registry,
-        /*on_subgraph_ready=*/
-        [sh](Subgraph* sg) { sh->scheduler->EnqueueSubgraph(sg); },
-        /*on_request_complete=*/
-        [this, sh](RequestState* state) {
-          const RequestStatus status = state->status;
-          switch (status) {
-            case RequestStatus::kOk: {
-              RequestRecord record;
-              record.id = state->id;
-              record.arrival_micros = state->arrival_micros;
-              record.exec_start_micros = state->ExecStartMicros();
-              record.completion_micros = NowMicros();
-              record.num_nodes = state->graph.NumNodes();
-              metrics_.Record(record);
-              metrics_.shard(sh->id).completions.fetch_add(1,
-                                                           std::memory_order_relaxed);
-              break;
-            }
-            case RequestStatus::kShed:
-              metrics_.RecordDropped();
-              break;
-            case RequestStatus::kFailed:
-              metrics_.RecordFailed();
-              break;
-            case RequestStatus::kCancelled:
-              break;  // caller-initiated; neither a completion nor a drop
-            case RequestStatus::kRejected:
-              break;  // unreachable: rejected requests are never admitted
-          }
-
-          // The request is terminal: drop its steal candidacy eagerly
-          // (PopStealable would discard it lazily anyway).
-          sh->stealable.erase({state->priority, state->id});
-
-          // Collect wanted outputs (kOk only — other terminal states carry
-          // none) and fire the callback exactly once.
-          const auto wanted_it = sh->outputs_wanted.find(state->id);
-          BM_CHECK(wanted_it != sh->outputs_wanted.end());
-          std::vector<Tensor> outputs;
-          if (status == RequestStatus::kOk) {
-            outputs.reserve(wanted_it->second.size());
-            for (const ValueRef& ref : wanted_it->second) {
-              if (state->nodes[static_cast<size_t>(ref.node)].stage ==
-                  NodeStage::kCancelled) {
-                continue;  // early termination cancelled this producer
-              }
-              const auto& node_out = state->node_outputs[static_cast<size_t>(ref.node)];
-              BM_CHECK_LT(static_cast<size_t>(ref.output), node_out.size());
-              outputs.push_back(node_out[static_cast<size_t>(ref.output)]);
-            }
-          }
-          sh->outputs_wanted.erase(wanted_it);
-          sh->terminations.erase(state->id);
-
-          // Sweep stale poison keys of nodes that were cancelled after a
-          // failure (their keys sit in the failing worker's failed_produced
-          // set and the request will never unpark anything to purge them).
-          // Gated on an actual failure having happened, so the common path
-          // never touches the pipeline locks from the manager.
-          if (state->cancelled_nodes > 0 &&
-              (fault_injector_.enabled() ||
-               tasks_failed_.load(std::memory_order_relaxed) > 0)) {
-            std::vector<uint64_t> keys;
-            for (size_t n = 0; n < state->nodes.size(); ++n) {
-              if (state->nodes[n].stage == NodeStage::kCancelled) {
-                keys.push_back(PoisonKey(state->id, static_cast<int>(n)));
-              }
-            }
-            if (!keys.empty()) {
-              for (auto& pipe : pipelines_) {
-                std::lock_guard<std::mutex> lock(pipe->mu);
-                for (uint64_t key : keys) {
-                  pipe->failed_produced.erase(key);
-                }
-              }
-            }
-          }
-
-          const auto cb_it = sh->callbacks.find(state->id);
-          BM_CHECK(cb_it != sh->callbacks.end());
-          ResponseFn callback = std::move(cb_it->second);
-          sh->callbacks.erase(cb_it);
-          if (callback) {
-            callback(state->id, status, std::move(outputs));
-          }
-          if (status == RequestStatus::kShed) {
-            trace_.RequestDrop(state->id);
-          } else {
-            trace_.RequestComplete(state->id, state->ExecStartMicros());
-          }
-          if (unfinished_requests_.fetch_sub(1) == 1) {
-            // Last in-flight request: wake a Shutdown() waiting for the
-            // drain. Taking the mutex orders this notify after the waiter's
-            // predicate check, so the wakeup cannot be missed.
-            std::lock_guard<std::mutex> lock(lifecycle_mu_);
-            drained_cv_.notify_all();
-          }
-        });
-    sh->scheduler =
-        std::make_unique<Scheduler>(registry, sh->processor.get(), options_.scheduler);
-    sh->scheduler->set_trace(&trace_);
-    if (slack_on_) {
-      sh->scheduler->set_cost_model(online_cost_model_.get());
-      sh->scheduler->set_batch_policy(options_.batch_policy);
-    }
-    // Task ids partition across shards (seed s, stride S) so trace and
-    // fault-injection ids stay globally unique without coordination.
-    sh->scheduler->SetTaskIdSpace(static_cast<uint64_t>(s),
-                                  static_cast<uint64_t>(num_shards_));
+    auto core = std::make_unique<ShardManager>(
+        registry, options_, s, num_shards_, begin, end, online_cost_model_.get(),
+        numa_on_ ? shard_node_ : std::vector<int>{}, static_cast<ShardTransport*>(this),
+        &metrics_, &trace_);
     // When a failure-parked subgraph drains and is about to re-enqueue,
     // purge its nodes' poison keys from the worker that ran the failed task
     // (the pinned — hence last — worker): with zero tasks in flight nothing
     // can still consume them, and a healthy re-execution scheduled back to
     // that worker must not be mis-poisoned by the stale keys.
-    sh->scheduler->set_unpark_hook([this](Subgraph* sg) {
+    core->scheduler().set_unpark_hook([this](Subgraph* sg) {
       if (sg->last_worker < 0) {
         return;
       }
@@ -441,7 +274,7 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
         pipe.failed_produced.erase(PoisonKey(sg->owner->id, node));
       }
     });
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>(std::move(core)));
   }
 }
 
@@ -460,18 +293,17 @@ void Server::Start() {
     }
   }
   trace_.GemmKernelInfo(static_cast<int>(options_.precision));
-  for (auto& shard : shards_) {
-    Shard* sh = shard.get();
-    sh->thread = std::thread([this, sh] {
-      SetCurrentThreadName("manager/" + std::to_string(sh->id));
-      if (numa_on_ && shard_node_[static_cast<size_t>(sh->id)] >= 0) {
+  for (int s = 0; s < num_shards_; ++s) {
+    Shard* sh = shards_[static_cast<size_t>(s)].get();
+    sh->thread = std::thread([this, sh, s] {
+      SetCurrentThreadName("manager/" + std::to_string(s));
+      const int node = shard_node_[static_cast<size_t>(s)];
+      if (node >= 0) {
         // Keep the manager on its workers' node: refill messages and the
         // request map stay node-local. Best-effort, like every pin.
-        PinCurrentThreadToCpus(
-            topology_.nodes[static_cast<size_t>(shard_node_[static_cast<size_t>(sh->id)])]
-                .cpus);
+        PinCurrentThreadToCpus(topology_.nodes[static_cast<size_t>(node)].cpus);
       }
-      TraceRecorder::SetThreadShard(sh->id);
+      TraceRecorder::SetThreadShard(s);
       ManagerLoop(*sh);
     });
   }
@@ -564,9 +396,7 @@ RequestId Server::Submit(CellGraph graph, std::vector<Tensor> externals,
     ArrivalMsg msg;
     msg.graph = std::move(graph);
     msg.externals = std::move(externals);
-    msg.outputs_wanted = std::move(outputs_wanted);
-    msg.on_response = std::move(on_response);
-    msg.terminate = std::move(terminate);
+    msg.submission = {std::move(outputs_wanted), std::move(on_response), std::move(terminate)};
     // The per-request SLA deadline rides verbatim; the engine-wide queue
     // timeout is stamped separately at arrival and shedding fires on
     // whichever of the two is tighter (RequestState::ShedDeadlineMicros).
@@ -592,10 +422,10 @@ RequestId Server::Submit(CellGraph graph, std::vector<Tensor> externals,
       unfinished_requests_.fetch_add(1);
       // Arrival routing: requests spread across shards by id.
       shards_[static_cast<size_t>(id % static_cast<RequestId>(num_shards_))]
-          ->inbox.Push(ManagerMsg{std::move(msg)});
+          ->inbox.Push(std::move(msg));
       return id;
     }
-    on_response = std::move(msg.on_response);  // reclaim for the rejection
+    on_response = std::move(msg.submission.on_response);  // reclaim for the rejection
   }
   // Rejected (invalid graph, full queue, or shutdown): the terminal answer
   // fires synchronously on the submitter's thread, outside lifecycle_mu_.
@@ -629,7 +459,7 @@ void Server::Cancel(RequestId id) {
   // no-op: after Shutdown the request is already terminal, so there is
   // nothing left to cancel.
   for (auto& shard : shards_) {
-    shard->inbox.Push(ManagerMsg{CancelMsg{id}});
+    shard->inbox.Push(CancelMsg{id});
   }
 }
 
@@ -707,11 +537,12 @@ void Server::Shutdown() {
   // now that their manager threads have stopped (exactly once: a second
   // Shutdown call returns at the exchange above).
   for (auto& shard : shards_) {
-    ShardCounters& counters = metrics_.shard(shard->id);
-    counters.delayed_batches.fetch_add(shard->scheduler->TotalDelayedLaunches(),
+    const Scheduler& scheduler = shard->core->scheduler();
+    ShardCounters& counters = metrics_.shard(shard->core->id());
+    counters.delayed_batches.fetch_add(scheduler.TotalDelayedLaunches(),
                                        std::memory_order_relaxed);
     counters.batch_delay_micros.fetch_add(
-        static_cast<int64_t>(shard->scheduler->TotalBatchDelayMicros()),
+        static_cast<int64_t>(scheduler.TotalBatchDelayMicros()),
         std::memory_order_relaxed);
   }
 }
@@ -719,7 +550,7 @@ void Server::Shutdown() {
 size_t Server::PendingDeadlines() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->deadlines.size();
+    total += shard->core->PendingDeadlines();
   }
   return total;
 }
@@ -762,460 +593,62 @@ std::vector<WorkerHealthSnapshot> Server::HealthReport() const {
 }
 
 void Server::ManagerLoop(Shard& shard) {
+  ShardManager& core = *shard.core;
   for (;;) {
-    std::optional<ManagerMsg> msg;
-    // Purge dead heap tops first: a completed/cancelled/executing request's
-    // deadline must never shape the wake-up wait (a stale top would wake
-    // the manager for nothing, or mask a later live deadline behind an
-    // already-passed one).
-    PruneDeadlines(shard);
-    double wake = std::numeric_limits<double>::infinity();
-    if (!shard.deadlines.empty()) {
-      wake = shard.deadlines.top().first;
-    }
-    if (slack_on_) {
-      // Deferred-batch launch hint — only actionable when some owned
-      // worker has stream room; a hint that passes unactioned is expired
-      // below so the loop cannot spin on it.
-      for (size_t i = 0; i < shard.outstanding.size(); ++i) {
-        if (shard.outstanding[i] < options_.pipeline_depth) {
-          wake = std::min(wake, shard.scheduler->NextLaunchMicros());
-          break;
-        }
-      }
-    }
+    // A shedding deadline or deferred launch is pending: sleep at most
+    // until it fires, so a queued request is shed — and a deferred batch
+    // launched — on time even with no messages in flight.
+    const double wake = core.NextWakeMicros();
+    std::optional<ShardMsg> msg;
     if (wake == std::numeric_limits<double>::infinity()) {
       msg = shard.inbox.Pop();
       if (!msg) {
         break;  // closed and drained
       }
     } else {
-      // A shedding deadline or deferred launch is pending: sleep at most
-      // until it fires, so a queued request is shed — and a deferred batch
-      // launched — on time even with no messages in flight.
-      const double now = NowMicros();
-      const double wait = wake - now;
-      if (wait <= 0.0) {
-        ExpireDeadlines(shard, now);
-        if (slack_on_) {
-          TryRefillWorkers(shard);
-          shard.scheduler->ExpireLaunchHints(NowMicros());
-        }
-        continue;
-      }
-      msg = shard.inbox.PopFor(std::chrono::duration<double, std::micro>(wait));
-      if (!msg) {
-        if (shard.inbox.Closed()) {
+      const double wait = wake - NowMicros();
+      if (wait > 0.0) {
+        msg = shard.inbox.PopFor(std::chrono::duration<double, std::micro>(wait));
+        if (!msg && shard.inbox.Closed()) {
           break;  // nullopt with the queue closed implies drained
         }
-        ExpireDeadlines(shard, NowMicros());
-        if (slack_on_) {
-          TryRefillWorkers(shard);
-          shard.scheduler->ExpireLaunchHints(NowMicros());
-        }
+      }
+      if (!msg) {
+        core.Wake(NowMicros());
         continue;
       }
     }
-    HandleMsg(shard, std::move(*msg));
+    Dispatch(shard, std::move(*msg));
     // Admit everything that queued up behind this message before the
     // refill pass: near-simultaneous requests batch together, and a burst
     // of completions is absorbed in one scan instead of one per message.
     while (auto more = shard.inbox.TryPop()) {
-      HandleMsg(shard, std::move(*more));
+      Dispatch(shard, std::move(*more));
     }
-    ExpireDeadlines(shard, NowMicros());
-    TryRefillWorkers(shard);
-    TryDonate(shard);
-    MaybeInitiateSteal(shard);
-    if (!shard.pending_cancels.empty() &&
-        unfinished_requests_.load(std::memory_order_relaxed) == 0) {
+    core.Step(NowMicros());
+    if (unfinished_requests_.load(std::memory_order_relaxed) == 0) {
       // Fully drained ⇒ no migration in flight ⇒ every tombstone is stale.
-      shard.pending_cancels.clear();
+      core.ForgetCancels();
     }
   }
 }
 
-void Server::HandleMsg(Shard& shard, ManagerMsg msg) {
-  if (std::holds_alternative<ArrivalMsg>(msg)) {
-    HandleArrival(shard, std::move(std::get<ArrivalMsg>(msg)));
-  } else if (std::holds_alternative<CompletionMsg>(msg)) {
-    HandleCompletion(shard, std::move(std::get<CompletionMsg>(msg)));
-  } else if (std::holds_alternative<CancelMsg>(msg)) {
-    HandleCancel(shard, std::get<CancelMsg>(msg));
-  } else if (std::holds_alternative<StealRequestMsg>(msg)) {
-    HandleStealRequest(shard, std::get<StealRequestMsg>(msg));
-  } else if (std::holds_alternative<MigrateMsg>(msg)) {
-    HandleMigrate(shard, std::move(std::get<MigrateMsg>(msg)));
-  } else if (std::holds_alternative<QuarantineMsg>(msg)) {
-    HandleQuarantine(shard, std::get<QuarantineMsg>(msg));
-  } else if (std::holds_alternative<ReadmitMsg>(msg)) {
-    HandleReadmit(shard, std::get<ReadmitMsg>(msg));
-  } else {
-    HandleStealDeny(shard, std::get<StealDenyMsg>(msg));
+void Server::Dispatch(Shard& shard, ShardMsg msg) {
+  if (auto* quarantine = std::get_if<QuarantineMsg>(&msg)) {
+    ReclaimStream(*quarantine);
   }
+  shard.core->Handle(std::move(msg), NowMicros());
 }
 
-void Server::HandleArrival(Shard& shard, ArrivalMsg msg) {
-  shard.outputs_wanted.emplace(msg.id, std::move(msg.outputs_wanted));
-  shard.callbacks.emplace(msg.id, std::move(msg.on_response));
-  if (msg.terminate) {
-    shard.terminations.emplace(msg.id, std::move(msg.terminate));
-  }
-  metrics_.shard(shard.id).arrivals.fetch_add(1, std::memory_order_relaxed);
-  RequestState* state = shard.processor->AddRequest(
-      msg.id, std::move(msg.graph), msg.arrival_micros, std::move(msg.externals));
-  state->priority = msg.priority;
-  state->deadline_micros = msg.deadline_micros;
-  state->queue_timeout_micros = admission_.queue_timeout_micros;
-  const double shed = state->ShedDeadlineMicros();
-  if (shed > 0.0) {
-    shard.deadlines.emplace(msg.arrival_micros + shed, msg.id);
-  }
-  // Every request starts never-scheduled, hence stealable; the candidacy
-  // goes stale the moment the first task forms.
-  shard.stealable.insert({state->priority, state->id});
-}
-
-void Server::HandleCancel(Shard& shard, CancelMsg msg) {
-  RequestState* state = shard.processor->FindRequest(msg.id);
-  if (state == nullptr) {
-    // Not owned here — but it may be owned *nowhere* right now (in flight
-    // between a steal victim and its thief). Tombstone so an adoption that
-    // lost the race to this broadcast still honours the cancel.
-    if (num_shards_ > 1) {
-      shard.pending_cancels.insert(msg.id);
-    }
-    return;
-  }
-  if (!state->MarkTerminal(RequestStatus::kCancelled)) {
-    return;  // already finished (kOk won the race) or terminal
-  }
-  shard.scheduler->CancelRequest(msg.id);
-}
-
-void Server::PruneDeadlines(Shard& shard) {
-  while (!shard.deadlines.empty()) {
-    RequestState* state = shard.processor->FindRequest(shard.deadlines.top().second);
-    if (state == nullptr || state->ExecStarted() ||
-        state->status != RequestStatus::kOk) {
-      // Finished, migrated away, already executing, or terminal: this
-      // entry can never shed anything — drop it before it shapes a wait.
-      shard.deadlines.pop();
-      continue;
-    }
-    break;
-  }
-}
-
-void Server::ExpireDeadlines(Shard& shard, double now_micros) {
-  while (!shard.deadlines.empty() && shard.deadlines.top().first <= now_micros) {
-    const RequestId id = shard.deadlines.top().second;
-    shard.deadlines.pop();
-    RequestState* state = shard.processor->FindRequest(id);
-    if (state == nullptr || state->ExecStarted() ||
-        state->status != RequestStatus::kOk) {
-      continue;  // finished, migrated away, running, or already terminal
-    }
-    // Same semantics as the simulator's queue timeout: a request sheds
-    // only if it has not begun executing when the deadline fires. (The
-    // ExecStarted read races benignly with a worker's first-execution CAS;
-    // losing it just means the request completes normally.)
-    state->MarkTerminal(RequestStatus::kShed);
-    shard.scheduler->CancelRequest(id);
-  }
-}
-
-void Server::HandleCompletion(Shard& shard, CompletionMsg msg) {
-  const int worker = msg.task.worker;
-  BM_CHECK_GE(worker, shard.worker_begin);
-  BM_CHECK_LT(worker, shard.worker_end);
-  const size_t local = static_cast<size_t>(worker - shard.worker_begin);
-  shard.outstanding[local]--;
-  BM_CHECK_GE(shard.outstanding[local], 0);
-  if (msg.failed_entries.empty()) {
-    shard.scheduler->OnTaskCompleted(msg.task);
-  } else {
-    shard.scheduler->OnTaskFailed(msg.task, msg.failed_entries, msg.victim_entry);
-  }
-  // Early-termination predicates (the request may already be finalized, in
-  // which case FindRequest returns null and nothing happens). Skipped
-  // entirely when no request registered one — the common case. Failed
-  // entries are skipped: their nodes did not complete.
-  if (!shard.terminations.empty()) {
-    std::vector<bool> failed(msg.task.entries.size(), false);
-    for (int i : msg.failed_entries) {
-      failed[static_cast<size_t>(i)] = true;
-    }
-    for (size_t i = 0; i < msg.task.entries.size(); ++i) {
-      if (failed[i]) {
-        continue;
-      }
-      const TaskEntry& entry = msg.task.entries[i];
-      const auto term_it = shard.terminations.find(entry.request);
-      if (term_it == shard.terminations.end()) {
-        continue;
-      }
-      RequestState* state = shard.processor->FindRequest(entry.request);
-      if (state == nullptr) {
-        continue;
-      }
-      if (term_it->second(*state, entry.node)) {
-        shard.terminations.erase(term_it);
-        shard.scheduler->CancelRequest(entry.request);
-      }
-    }
-  }
-  // Targeted refill: this completion may have dropped the worker below the
-  // watermark and unlocked successors it can run; hand them over now,
-  // before the manager touches any other queued message.
-  if (shard.outstanding[local] < options_.pipeline_depth) {
-    TrySchedule(shard, worker);
-  }
-}
-
-RequestState* Server::PopStealable(Shard& shard) {
-  while (!shard.stealable.empty()) {
-    const auto it = shard.stealable.begin();
-    const RequestId id = it->second;
-    shard.stealable.erase(it);
-    RequestState* state = shard.processor->FindRequest(id);
-    if (state == nullptr || state->ever_scheduled ||
-        state->status != RequestStatus::kOk) {
-      continue;  // stale candidate: gone, already pinned work, or terminal
-    }
-    return state;
-  }
-  return nullptr;
-}
-
-void Server::MigrateOut(Shard& victim, RequestState* state, int thief) {
-  const RequestId id = state->id;
-  MigrateMsg msg;
-  msg.from_shard = victim.id;
-  // Unhook the queued subgraphs from the victim's scheduler first (the
-  // processor checks the request really was never scheduled), then move
-  // the state and its submission bookkeeping wholesale. The stale
-  // deadline-heap entry stays behind; FindRequest discards it lazily.
-  victim.scheduler->DetachRequest(state);
-  msg.state = victim.processor->ReleaseRequest(id);
-  const auto wanted_it = victim.outputs_wanted.find(id);
-  BM_CHECK(wanted_it != victim.outputs_wanted.end());
-  msg.outputs_wanted = std::move(wanted_it->second);
-  victim.outputs_wanted.erase(wanted_it);
-  const auto cb_it = victim.callbacks.find(id);
-  BM_CHECK(cb_it != victim.callbacks.end());
-  msg.on_response = std::move(cb_it->second);
-  victim.callbacks.erase(cb_it);
-  const auto term_it = victim.terminations.find(id);
-  if (term_it != victim.terminations.end()) {
-    msg.terminate = std::move(term_it->second);
-    victim.terminations.erase(term_it);
-  }
-  metrics_.shard(victim.id).steals_out.fetch_add(1, std::memory_order_relaxed);
-  // Cannot land on a closed inbox: a migrating request is unfinished, so
-  // Shutdown's drain wait has not released and no inbox is closed yet.
-  shards_[static_cast<size_t>(thief)]->inbox.Push(ManagerMsg{std::move(msg)});
-}
-
-void Server::HandleStealRequest(Shard& shard, const StealRequestMsg& msg) {
-  RequestState* state = PopStealable(shard);
-  if (state != nullptr) {
-    MigrateOut(shard, state, msg.thief);
-    return;
-  }
-  // Nothing to give: remember the hungry peer for later donation and let
-  // it try the next victim.
-  if (std::find(shard.hungry.begin(), shard.hungry.end(), msg.thief) ==
-      shard.hungry.end()) {
-    shard.hungry.push_back(msg.thief);
-  }
-  shards_[static_cast<size_t>(msg.thief)]->inbox.Push(
-      ManagerMsg{StealDenyMsg{shard.id}});
-}
-
-void Server::HandleMigrate(Shard& shard, MigrateMsg msg) {
-  // A migration ends any pending steal round, requested or donated. A
-  // straggler denial from the old round is ignored (or at worst ends the
-  // next round early — harmless, the round restarts while the imbalance
-  // persists).
-  shard.steal_pending = false;
-  shard.steal_denials = 0;
-  const int from_shard = msg.from_shard;
-  RequestState* state = shard.processor->AdoptRequest(std::move(msg.state));
-  const RequestId id = state->id;
-  shard.outputs_wanted.emplace(id, std::move(msg.outputs_wanted));
-  shard.callbacks.emplace(id, std::move(msg.on_response));
-  if (msg.terminate) {
-    shard.terminations.emplace(id, std::move(msg.terminate));
-  }
-  // Re-key on the destination heap (the stale entry left behind on the
-  // victim's heap is pruned lazily there).
-  const double shed = state->ShedDeadlineMicros();
-  if (shed > 0.0) {
-    shard.deadlines.emplace(state->arrival_micros + shed, id);
-  }
-  shard.stealable.insert({state->priority, id});
-  steals_.fetch_add(1);
-  metrics_.shard(shard.id).steals_in.fetch_add(1, std::memory_order_relaxed);
-  if (numa_on_) {
-    // With node-aligned shard boundaries, a steal between shards on
-    // different nodes is the only deliberately cross-node traffic; count it
-    // separately so the locality bench can report it.
-    const int to_node = shard_node_[static_cast<size_t>(shard.id)];
-    const int from_node = shard_node_[static_cast<size_t>(from_shard)];
-    if (to_node >= 0 && from_node >= 0 && to_node != from_node) {
-      metrics_.node(to_node).cross_node_steals.fetch_add(1,
-                                                         std::memory_order_relaxed);
-    }
-  }
-  trace_.ShardSteal(id, from_shard, shard.id);
-  const auto tomb_it = shard.pending_cancels.find(id);
-  if (tomb_it != shard.pending_cancels.end()) {
-    // A cancel broadcast beat the migration here; honour it now.
-    shard.pending_cancels.erase(tomb_it);
-    if (state->MarkTerminal(RequestStatus::kCancelled)) {
-      shard.scheduler->CancelRequest(id);
-    }
-  }
-}
-
-void Server::HandleStealDeny(Shard& shard, const StealDenyMsg& msg) {
-  (void)msg;
-  if (!shard.steal_pending) {
-    return;  // stale denial from a round a migration already ended
-  }
-  if (++shard.steal_denials >= num_shards_ - 1) {
-    shard.steal_pending = false;  // every peer denied; round over
-    return;
-  }
-  do {
-    shard.steal_next = (shard.steal_next + 1) % num_shards_;
-  } while (shard.steal_next == shard.id);
-  shards_[static_cast<size_t>(shard.steal_next)]->inbox.Push(
-      ManagerMsg{StealRequestMsg{shard.id}});
-}
-
-void Server::MaybeInitiateSteal(Shard& shard) {
-  if (num_shards_ <= 1 || shard.steal_pending) {
-    return;
-  }
-  // Steal only on genuine starvation: an owned worker with an empty stream
-  // that the refill pass just failed to feed (no compatible ready work).
-  bool starved = false;
-  for (int w = shard.worker_begin; w < shard.worker_end && !starved; ++w) {
-    const size_t local = static_cast<size_t>(w - shard.worker_begin);
-    if (health_on_ && shard.quarantined[local] != 0) {
-      continue;  // a quarantined worker is empty by design, not starved
-    }
-    starved = shard.outstanding[local] == 0 &&
-              !shard.scheduler->HasCompatibleReadyWork(w);
-  }
-  if (!starved) {
-    return;
-  }
-  shard.steal_pending = true;
-  shard.steal_denials = 0;
-  shard.steal_next = (shard.id + 1) % num_shards_;
-  shards_[static_cast<size_t>(shard.steal_next)]->inbox.Push(
-      ManagerMsg{StealRequestMsg{shard.id}});
-}
-
-void Server::TryDonate(Shard& shard) {
-  if (shard.hungry.empty() || num_shards_ <= 1) {
-    return;
-  }
-  // Donate only surplus: every owned worker already at the watermark means
-  // local scheduling cannot absorb a stealable request any time soon.
-  // Quarantined workers don't count — their streams are deliberately empty
-  // and must not make the shard look under-committed forever.
-  for (size_t local = 0; local < shard.outstanding.size(); ++local) {
-    if (health_on_ && shard.quarantined[local] != 0) {
-      continue;
-    }
-    if (shard.outstanding[local] < options_.pipeline_depth) {
-      return;
-    }
-  }
-  while (!shard.hungry.empty()) {
-    RequestState* state = PopStealable(shard);
-    if (state == nullptr) {
-      return;  // no surplus left; keep the hungry list for the next burst
-    }
-    const int thief = shard.hungry.front();
-    shard.hungry.erase(shard.hungry.begin());
-    MigrateOut(shard, state, thief);
-  }
-}
-
-void Server::TrySchedule(Shard& shard, int worker) {
-  if (health_on_ &&
-      shard.quarantined[static_cast<size_t>(worker - shard.worker_begin)] != 0) {
-    return;  // the stream stops refilling until the watchdog re-admits
-  }
-  // The clock read only feeds the slack policy; skip it (and pass the
-  // ignored 0) on the greedy path.
-  std::vector<BatchedTask> tasks =
-      shard.scheduler->Schedule(worker, slack_on_ ? NowMicros() : 0.0);
-  if (tasks.empty()) {
-    return;
-  }
-  trace_.StreamRefill(worker, static_cast<int>(tasks.size()));
-  for (BatchedTask& task : tasks) {
-    WorkerTask wt;
-    wt.states.reserve(task.entries.size());
-    for (const TaskEntry& entry : task.entries) {
-      RequestState* state = shard.processor->FindRequest(entry.request);
-      BM_CHECK(state != nullptr);
-      wt.states.push_back(state);
-    }
-    wt.task = std::move(task);
-    shard.outstanding[static_cast<size_t>(worker - shard.worker_begin)]++;
-    task_queues_[static_cast<size_t>(worker)]->Push(std::move(wt));
-  }
-}
-
-void Server::TryRefillWorkers(Shard& shard) {
-  if (!shard.scheduler->HasReadyWork()) {
-    return;
-  }
-  // Watermark refill: top up every owned worker whose stream has fewer
-  // than pipeline_depth tasks in flight. The scan start rotates so that
-  // under light load (work for one task, everyone below watermark) the
-  // first fresh subgraph does not always pin to the shard's first worker.
-  const int n = shard.worker_end - shard.worker_begin;
-  const int start = shard.refill_start;
-  shard.refill_start = (shard.refill_start + 1) % n;
-  for (int i = 0; i < n; ++i) {
-    const int local = (start + i) % n;
-    if (health_on_ && shard.quarantined[static_cast<size_t>(local)] != 0) {
-      continue;
-    }
-    if (shard.outstanding[static_cast<size_t>(local)] < options_.pipeline_depth) {
-      TrySchedule(shard, shard.worker_begin + local);
-      if (!shard.scheduler->HasReadyWork()) {
-        break;
-      }
-    }
-  }
-}
-
-void Server::HandleQuarantine(Shard& shard, const QuarantineMsg& msg) {
-  const int worker = msg.worker;
-  BM_CHECK_GE(worker, shard.worker_begin);
-  BM_CHECK_LT(worker, shard.worker_end);
-  const size_t local = static_cast<size_t>(worker - shard.worker_begin);
-  shard.quarantined[local] = 1;
-  WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
-
-  // Reclaim the undone stream. Every task this worker was handed is
-  // either still queued — drained and requeued below — or was popped by
-  // its thread. A live thread (healthy, or hung and waking later) runs a
-  // popped task to the end and reports it through the inbox like any
-  // other, so the completion path resolves it; with the stream no longer
-  // refilled, nothing is popped after the drain. A dead thread was joined
-  // before this message was sent, and its in-flight task is requeued from
-  // the pipeline's copy.
-  std::vector<BatchedTask> reclaimed;
+void Server::ReclaimStream(QuarantineMsg& msg) {
+  WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(msg.worker)];
+  // Every task this worker was handed is either still queued — drained
+  // here — or was popped by its thread. A live thread (healthy, or hung and
+  // waking later) runs a popped task to the end and reports it through the
+  // inbox like any other, so the completion path resolves it; with the
+  // stream no longer refilled, nothing is popped after the drain. A dead
+  // thread was joined before this message was sent, and its in-flight task
+  // is reclaimed from the pipeline's copy.
   if (msg.dead) {
     std::lock_guard<std::mutex> lock(pipe.mu);
     if (pipe.inflight_valid) {
@@ -1224,90 +657,75 @@ void Server::HandleQuarantine(Shard& shard, const QuarantineMsg& msg) {
       for (const TaskEntry& entry : pipe.inflight_task.entries) {
         pipe.failed_produced.erase(PoisonKey(entry.request, entry.node));
       }
-      reclaimed.push_back(std::move(pipe.inflight_task));
+      msg.reclaimed.push_back(std::move(pipe.inflight_task));
       pipe.inflight_valid = false;
     }
     // The dead thread left its busy marker set; clear it so the
     // watchdog's idle probe can pass once the replacement runs.
     pipe.busy_task_seq.store(-1, std::memory_order_release);
   }
-  std::deque<WorkerTask> queued = task_queues_[static_cast<size_t>(worker)]->DrainAll();
+  for (WorkerTask& wt : task_queues_[static_cast<size_t>(msg.worker)]->DrainAll()) {
+    msg.reclaimed.push_back(std::move(wt.task));
+  }
   // Ack strictly after the reclaim and the drain: the watchdog respawns a
   // dead worker's thread and probes for re-admission only once the counter
   // advances, so the replacement starts on an empty stream and a
   // ReadmitMsg can never overtake this quarantine through the inbox.
   pipe.quarantine_acks.fetch_add(1);
-  for (const BatchedTask& task : reclaimed) {
-    RequeueReclaimed(shard, worker, task);
-  }
-  for (const WorkerTask& wt : queued) {
-    RequeueReclaimed(shard, worker, wt.task);
-  }
-  metrics_.worker(worker).quarantines.fetch_add(1, std::memory_order_relaxed);
-  trace_.WorkerQuarantine(worker, msg.dead,
-                          static_cast<int>(reclaimed.size() + queued.size()));
+}
 
-  // A shard with every worker quarantined cannot run the reclaimed work;
-  // hand never-scheduled requests to healthy peers rather than sitting on
-  // them for the whole recovery.
-  bool any_healthy = false;
-  for (uint8_t q : shard.quarantined) {
-    any_healthy |= q == 0;
-  }
-  if (!any_healthy) {
-    DonateAllStealable(shard);
+void Server::PushTasks(int worker, std::vector<BatchedTask>&& tasks) {
+  RequestProcessor& processor =
+      shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(worker)])]
+          ->core->processor();
+  trace_.StreamRefill(worker, static_cast<int>(tasks.size()));
+  for (BatchedTask& task : tasks) {
+    WorkerTask wt;
+    wt.states.reserve(task.entries.size());
+    for (const TaskEntry& entry : task.entries) {
+      RequestState* state = processor.FindRequest(entry.request);
+      BM_CHECK(state != nullptr);
+      wt.states.push_back(state);
+    }
+    wt.task = std::move(task);
+    task_queues_[static_cast<size_t>(worker)]->Push(std::move(wt));
   }
 }
 
-void Server::HandleReadmit(Shard& shard, const ReadmitMsg& msg) {
-  const int worker = msg.worker;
-  BM_CHECK_GE(worker, shard.worker_begin);
-  BM_CHECK_LT(worker, shard.worker_end);
-  const size_t local = static_cast<size_t>(worker - shard.worker_begin);
-  if (shard.quarantined[local] == 0) {
-    return;  // never quarantined here: stale or duplicate message
-  }
-  shard.quarantined[local] = 0;
-  metrics_.worker(worker).readmissions.fetch_add(1, std::memory_order_relaxed);
-  TrySchedule(shard, worker);
+void Server::Send(int shard, ShardMsg msg) {
+  // Cannot land on a closed inbox: a migrating request is unfinished, so
+  // Shutdown's drain wait has not released and no inbox is closed yet; a
+  // steal request or denial lost to a closed inbox has nothing to move.
+  shards_[static_cast<size_t>(shard)]->inbox.Push(std::move(msg));
 }
 
-void Server::RequeueReclaimed(Shard& shard, int worker, const BatchedTask& task) {
-  const size_t local = static_cast<size_t>(worker - shard.worker_begin);
-  shard.outstanding[local]--;
-  BM_CHECK_GE(shard.outstanding[local], 0);
-  metrics_.worker(worker).requeued_tasks.fetch_add(1, std::memory_order_relaxed);
-  shard.scheduler->RequeueTask(task);
-}
-
-void Server::DonateAllStealable(Shard& shard) {
-  if (num_shards_ <= 1) {
-    return;
-  }
-  // Same-node peers first, so the forced migration respects numa_policy's
-  // node boundaries whenever a same-node shard exists.
-  std::vector<int> peers;
-  const int my_node = numa_on_ ? shard_node_[static_cast<size_t>(shard.id)] : -1;
-  for (int s = 0; s < num_shards_; ++s) {
-    if (s != shard.id && numa_on_ &&
-        shard_node_[static_cast<size_t>(s)] == my_node) {
-      peers.push_back(s);
+void Server::RequestFinished(const RequestState& state) {
+  // Sweep stale poison keys of nodes that were cancelled after a failure
+  // (their keys sit in the failing worker's failed_produced set and the
+  // request will never unpark anything to purge them). Gated on an actual
+  // failure having happened, so the common path never touches the
+  // pipeline locks from the manager.
+  if (state.cancelled_nodes > 0 &&
+      (fault_injector_.enabled() || tasks_failed_.load(std::memory_order_relaxed) > 0)) {
+    std::vector<uint64_t> keys;
+    for (size_t n = 0; n < state.nodes.size(); ++n) {
+      if (state.nodes[n].stage == NodeStage::kCancelled) {
+        keys.push_back(PoisonKey(state.id, static_cast<int>(n)));
+      }
+    }
+    for (auto& pipe : pipelines_) {
+      std::lock_guard<std::mutex> lock(pipe->mu);
+      for (uint64_t key : keys) {
+        pipe->failed_produced.erase(key);
+      }
     }
   }
-  for (int s = 0; s < num_shards_; ++s) {
-    if (s != shard.id &&
-        !(numa_on_ && shard_node_[static_cast<size_t>(s)] == my_node)) {
-      peers.push_back(s);
-    }
-  }
-  size_t next = 0;
-  for (;;) {
-    RequestState* state = PopStealable(shard);
-    if (state == nullptr) {
-      return;
-    }
-    MigrateOut(shard, state, peers[next % peers.size()]);
-    ++next;
+  if (unfinished_requests_.fetch_sub(1) == 1) {
+    // Last in-flight request: wake a Shutdown() waiting for the drain.
+    // Taking the mutex orders this notify after the waiter's predicate
+    // check, so the wakeup cannot be missed.
+    std::lock_guard<std::mutex> lock(lifecycle_mu_);
+    drained_cv_.notify_all();
   }
 }
 
@@ -1343,7 +761,7 @@ void Server::WatchdogCheckWorker(int worker, double now_micros) {
     health.store(static_cast<uint8_t>(dead ? WorkerHealth::kDead : WorkerHealth::kHung),
                  std::memory_order_relaxed);
     shards_[static_cast<size_t>(owner_shard)]->inbox.Push(
-        ManagerMsg{QuarantineMsg{worker, dead}});
+        QuarantineMsg{worker, dead, {}});
   };
 
   if (watch.quarantined) {
@@ -1379,8 +797,7 @@ void Server::WatchdogCheckWorker(int worker, double now_micros) {
       health.store(static_cast<uint8_t>(WorkerHealth::kHealthy),
                    std::memory_order_relaxed);
       trace_.WorkerReadmit(worker, watch.quarantined_at);
-      shards_[static_cast<size_t>(owner_shard)]->inbox.Push(
-          ManagerMsg{ReadmitMsg{worker}});
+      shards_[static_cast<size_t>(owner_shard)]->inbox.Push(ReadmitMsg{worker});
       return;
     }
     // Still stuck: back off exponentially, bounded.
@@ -1495,7 +912,7 @@ void Server::WorkerLoop(int worker) {
       pipe.busy_task_seq.store(-1, std::memory_order_release);
     }
     msg.task = std::move(wt->task);
-    inbox.Push(ManagerMsg{std::move(msg)});
+    inbox.Push(std::move(msg));
   };
   // The whole task produced nothing: poison every entry's output for the
   // rest of this stream and report every entry failed. `victim` is the

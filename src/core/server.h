@@ -2,16 +2,18 @@
 // Figure 6).
 //
 // Manager shards (see DESIGN.md "Sharded manager"): scheduler state is
-// partitioned into ServerOptions::num_shards independent shards. Each
-// shard owns a RequestProcessor + Scheduler, a contiguous slice of the
-// workers, its own completion inbox, deadline heap and manager loop, so
-// arrival handling + Algorithm-1 scheduling + completion processing scale
-// past one dispatcher thread. Arrivals are routed by request id; a shard
-// whose workers idle with no compatible ready work steals not-yet-
-// scheduled requests from its peers (whole-request stealing, so the
-// per-stream FIFO pinning invariant is preserved by construction: a
-// stolen request has nothing pinned and re-pins to the thief's workers).
-// num_shards = 1 reproduces the single-manager behaviour exactly.
+// partitioned into ServerOptions::num_shards independent shards, each a
+// ShardManager (src/core/shard_manager.h: RequestProcessor + Scheduler,
+// deadline heap, steal state) owning a contiguous slice of the workers.
+// The Server gives every shard an inbox and a manager thread that feeds it
+// messages stamped with the steady clock, so arrival handling +
+// Algorithm-1 scheduling + completion processing scale past one
+// dispatcher thread. Arrivals are routed by request id; a shard whose
+// workers idle with no compatible ready work steals not-yet-scheduled
+// requests from its peers (whole-request stealing, so the per-stream FIFO
+// pinning invariant is preserved by construction: a stolen request has
+// nothing pinned and re-pins to the thief's workers). num_shards = 1
+// reproduces the single-manager behaviour exactly.
 //
 // One thread per worker (standing in for the paper's per-GPU workers)
 // executes batched tasks from its FIFO task stream on the CPU via the
@@ -64,12 +66,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "src/core/batch_assembler.h"
@@ -78,6 +77,7 @@
 #include "src/core/metrics.h"
 #include "src/core/request_processor.h"
 #include "src/core/scheduler.h"
+#include "src/core/shard_manager.h"
 #include "src/device/device_backend.h"
 #include "src/graph/cell_registry.h"
 #include "src/obs/trace.h"
@@ -129,7 +129,7 @@ struct WorkerHealthSnapshot {
   int64_t respawns = 0;
 };
 
-class Server {
+class Server : private ShardTransport {
  public:
   // See the namespace-level ResponseFn; kept as a member alias for source
   // compatibility. Fires on the owning shard's manager thread when the
@@ -137,13 +137,11 @@ class Server {
   // on the submitter's thread when admission rejects it (kRejected).
   using ResponseFn = batchmaker::ResponseFn;
 
-  // Early-termination predicate, evaluated on the manager thread after each
-  // of the request's nodes completes. Returning true cancels all of the
-  // request's not-yet-scheduled nodes (e.g. stop decoding once the token
-  // output of `completed_node` is <eos>). Richer than
+  // See the namespace-level TerminationFn (src/core/shard_manager.h),
+  // evaluated on the owning shard's manager thread. Richer than
   // SubmitOptions::terminate_after_node, which declares the terminating
   // node up front.
-  using TerminationFn = std::function<bool(const RequestState&, int completed_node)>;
+  using TerminationFn = batchmaker::TerminationFn;
 
   Server(const CellRegistry* registry, ServerOptions options = {});
   ~Server();
@@ -197,7 +195,7 @@ class Server {
   // Effective shard count (num_shards clamped to [1, num_workers]).
   int num_shards() const { return num_shards_; }
   // Requests migrated across shards by the stealing protocol.
-  int64_t StealsExecuted() const { return steals_.load(); }
+  int64_t StealsExecuted() const { return metrics_.TotalSteals(); }
 
   // Total microseconds worker `worker`'s thread spent blocked on its empty
   // task queue, waiting for the manager to refill its stream. The
@@ -269,68 +267,6 @@ class Server {
   int64_t RemoteGatherBytes() const { return metrics_.TotalRemoteGatherBytes(); }
 
  private:
-  struct ArrivalMsg {
-    RequestId id;
-    CellGraph graph;
-    std::vector<Tensor> externals;
-    std::vector<ValueRef> outputs_wanted;
-    ResponseFn on_response;
-    TerminationFn terminate;
-    double arrival_micros;
-    // Per-request SLA deadline (SubmitOptions::deadline_micros, verbatim):
-    // 0 = none, negative opts out of shedding. The engine queue timeout is
-    // stamped onto the RequestState separately at arrival.
-    double deadline_micros;
-    int priority = 0;
-  };
-  struct CompletionMsg {
-    BatchedTask task;
-    // Indices into task.entries that did not execute (injected fault or
-    // poisoned by an earlier failure in the stream); empty = clean task.
-    std::vector<int> failed_entries;
-    // Entry blamed for an injected fault (-1 for cascades: the blame was
-    // assigned when the original fault fired).
-    int victim_entry = -1;
-  };
-  struct CancelMsg {
-    RequestId id;
-  };
-  // ---- Cross-shard stealing protocol (DESIGN.md "Sharded manager") ----
-  // A thief with an idle worker and no compatible ready work asks a victim
-  // shard for a never-scheduled request...
-  struct StealRequestMsg {
-    int thief;
-  };
-  // ...the victim either migrates one over (whole RequestState plus the
-  // submission bookkeeping) or denies; a denied thief tries the next
-  // victim, and the denying victim remembers the hungry thief so it can
-  // donate surplus later without being asked again.
-  struct MigrateMsg {
-    std::unique_ptr<RequestState> state;
-    std::vector<ValueRef> outputs_wanted;
-    ResponseFn on_response;
-    TerminationFn terminate;  // null if none registered
-    int from_shard;
-  };
-  struct StealDenyMsg {
-    int victim;
-  };
-  // ---- Worker failure domains (DESIGN.md "Worker failure domains") ----
-  // The watchdog never touches shard state directly: it asks the owning
-  // shard to quarantine a flagged worker (reclaiming and requeueing its
-  // undone stream)...
-  struct QuarantineMsg {
-    int worker;
-    bool dead;  // worker thread exited (vs hung: alive but stalled)
-  };
-  // ...and later to re-admit it once a recovery probe passes.
-  struct ReadmitMsg {
-    int worker;
-  };
-  using ManagerMsg = std::variant<ArrivalMsg, CompletionMsg, CancelMsg,
-                                  StealRequestMsg, MigrateMsg, StealDenyMsg,
-                                  QuarantineMsg, ReadmitMsg>;
-
   // A task plus the request states it touches, resolved by the manager so
   // workers never read the request map.
   struct WorkerTask {
@@ -341,58 +277,37 @@ class Server {
   // Per-worker state shared by the worker thread, the owning shard's
   // manager and the watchdog (defined in server.cc).
   struct WorkerPipeline;
-  // One manager shard: processor, scheduler, inbox, deadline heap, steal
-  // state and its slice of the workers (defined in server.cc).
+  // One manager shard: its ShardManager, inbox and thread (defined in
+  // server.cc).
   struct Shard;
 
+  // ShardTransport, called on a shard's manager thread: resolve a formed
+  // task's request states and push it to the worker's stream; post a
+  // message to a peer shard's inbox; after a terminal callback, sweep the
+  // request's poison keys and count it off the drain.
+  void PushTasks(int worker, std::vector<BatchedTask>&& tasks) override;
+  void Send(int shard, ShardMsg msg) override;
+  void RequestFinished(const RequestState& state) override;
+
+  // Pops the shard's inbox and feeds its ShardManager until the inbox
+  // closes, sleeping at most until the manager's next wake-up.
   void ManagerLoop(Shard& shard);
-  void HandleMsg(Shard& shard, ManagerMsg msg);
+  // Hands one inbox message to the shard's manager; a QuarantineMsg first
+  // reclaims the worker's undone stream into the message.
+  void Dispatch(Shard& shard, ShardMsg msg);
   // One worker's thread: pops its stream's tasks in order and runs each
   // through gather, execute and scatter before reporting its completion.
   void WorkerLoop(int worker);
-  void HandleArrival(Shard& shard, ArrivalMsg msg);
-  void HandleCompletion(Shard& shard, CompletionMsg msg);
-  void HandleCancel(Shard& shard, CancelMsg msg);
-  void HandleStealRequest(Shard& shard, const StealRequestMsg& msg);
-  void HandleMigrate(Shard& shard, MigrateMsg msg);
-  void HandleStealDeny(Shard& shard, const StealDenyMsg& msg);
-  // ---- Worker failure domains (shard manager thread only) ----
-  // Pulls `msg.worker` from scheduling and reclaims its undone stream:
-  // queued tasks and (dead only) the task the worker thread died inside,
-  // all requeued via Scheduler::RequeueTask.
-  void HandleQuarantine(Shard& shard, const QuarantineMsg& msg);
-  void HandleReadmit(Shard& shard, const ReadmitMsg& msg);
-  // Requeues one reclaimed task (outstanding accounting + RequeueTask).
-  void RequeueReclaimed(Shard& shard, int worker, const BatchedTask& task);
-  // When every worker of `shard` is quarantined, pushes all stealable
-  // requests to healthy peer shards (same-NUMA-node peers first).
-  void DonateAllStealable(Shard& shard);
+  // Pipeline side of a quarantine (shard manager thread only): drains the
+  // worker's queued tasks and, for a dead worker, the task its thread died
+  // inside, into msg.reclaimed.
+  void ReclaimStream(QuarantineMsg& msg);
   // Watchdog thread: samples worker heartbeats every
   // health.check_interval_micros, classifies, quarantines, respawns dead
   // worker threads, and probes for re-admission with exponential backoff.
   void WatchdogLoop();
   // One watchdog pass over one worker (split out for clarity).
   void WatchdogCheckWorker(int worker, double now_micros);
-  // Pops the lowest-priority, oldest stealable (= never-scheduled, still
-  // kOk) request of `shard`, or null. Lazily discards stale candidates.
-  RequestState* PopStealable(Shard& shard);
-  // Extracts `state` from `victim` and ships it to shard `thief`.
-  void MigrateOut(Shard& victim, RequestState* state, int thief);
-  // Starts a steal round if some owned worker idles with no compatible
-  // ready work and no round is already pending.
-  void MaybeInitiateSteal(Shard& shard);
-  // Pushes surplus stealable requests to shards whose steal requests this
-  // shard denied earlier, while its own workers are saturated.
-  void TryDonate(Shard& shard);
-  // Sheds every deadline-heap request whose deadline passed and that has
-  // not begun executing (shard manager thread only).
-  void ExpireDeadlines(Shard& shard, double now_micros);
-  // Lazily pops heap entries whose request finished, migrated away or
-  // began executing, so the manager's wake-up wait is never computed from
-  // a dead heap top (shard manager thread only).
-  void PruneDeadlines(Shard& shard);
-  void TrySchedule(Shard& shard, int worker);
-  void TryRefillWorkers(Shard& shard);
   // Validation half of Submit; returns an error description or empty.
   std::string ValidateSubmission(const CellGraph& graph,
                                  const std::vector<Tensor>& externals,
@@ -472,7 +387,6 @@ class Server {
   std::atomic<RequestId> next_request_id_{1};
   std::atomic<int64_t> tasks_executed_{0};
   std::atomic<int64_t> tasks_failed_{0};
-  std::atomic<int64_t> steals_{0};
   std::atomic<size_t> unfinished_requests_{0};
   std::atomic<bool> started_{false};
   std::atomic<bool> shutdown_{false};

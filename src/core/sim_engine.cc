@@ -12,8 +12,6 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
                      SimEngineOptions options)
     : registry_(registry),
       cost_model_(cost_model),
-      pipeline_depth_(options.pipeline_depth),
-      queue_timeout_micros_(options.admission.queue_timeout_micros),
       trace_([this] { return events_.Now(); }) {
   BM_CHECK(registry != nullptr);
   BM_CHECK(cost_model != nullptr);
@@ -32,12 +30,9 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
   BM_CHECK(backend_->caps().virtual_time)
       << "backend '" << backend_name
       << "' executes real compute; drive it through Server, not SimEngine";
-  BM_CHECK_GT(pipeline_depth_, 0);
   BM_CHECK_GT(options.num_workers, 0);
   BM_CHECK_GT(options.num_shards, 0);
   num_shards_ = std::min(options.num_shards, options.num_workers);
-  slack_on_ = options.batch_policy.slack_batching &&
-              options.batch_policy.max_delay_micros > 0.0;
   if (options.enable_tracing) {
     trace_.Enable();
   }
@@ -45,63 +40,32 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
 
   shard_of_worker_.assign(static_cast<size_t>(options.num_workers), 0);
   for (int s = 0; s < num_shards_; ++s) {
-    auto shard = std::make_unique<SimShard>();
-    SimShard* sh = shard.get();
-    sh->id = s;
-    sh->worker_begin = s * options.num_workers / num_shards_;
-    sh->worker_end = (s + 1) * options.num_workers / num_shards_;
-    BM_CHECK_LT(sh->worker_begin, sh->worker_end);
-    for (int w = sh->worker_begin; w < sh->worker_end; ++w) {
+    const int begin = s * options.num_workers / num_shards_;
+    const int end = (s + 1) * options.num_workers / num_shards_;
+    for (int w = begin; w < end; ++w) {
       shard_of_worker_[static_cast<size_t>(w)] = s;
     }
-    sh->processor = std::make_unique<RequestProcessor>(
-        registry,
-        /*on_subgraph_ready=*/
-        [sh](Subgraph* sg) { sh->scheduler->EnqueueSubgraph(sg); },
-        /*on_request_complete=*/
-        [this, sh](RequestState* state) {
-          sh->stealable.erase({state->priority, state->id});
-          if (state->status == RequestStatus::kShed) {
-            metrics_.RecordDropped();
-            trace_.RequestDrop(state->id);
-            return;
-          }
-          RequestRecord record;
-          record.id = state->id;
-          record.arrival_micros = state->arrival_micros;
-          record.exec_start_micros = state->ExecStartMicros();
-          record.completion_micros = events_.Now();
-          record.num_nodes = state->graph.NumNodes();
-          metrics_.Record(record);
-          metrics_.shard(sh->id).completions.fetch_add(1, std::memory_order_relaxed);
-          trace_.RequestComplete(state->id, state->ExecStartMicros());
-        });
-    sh->scheduler =
-        std::make_unique<Scheduler>(registry, sh->processor.get(), options.scheduler);
-    sh->scheduler->set_trace(&trace_);
-    if (slack_on_) {
-      // The simulator's device model *is* the cost model, so the policy
-      // sees exact costs — no online calibration needed (or wanted: the
-      // virtual-time paths must never observe anything but the model).
-      sh->scheduler->set_cost_model(cost_model_);
-      sh->scheduler->set_batch_policy(options.batch_policy);
-    }
-    // Task ids partition across shards (seed s, stride S) so trace ids stay
-    // globally unique; with one shard this is the identity numbering.
-    sh->scheduler->SetTaskIdSpace(static_cast<uint64_t>(s),
-                                  static_cast<uint64_t>(num_shards_));
-    shards_.push_back(std::move(shard));
+    // The simulator's device model *is* the cost model, so the slack
+    // policy sees exact costs — no online calibration needed (or wanted:
+    // the virtual-time paths must never observe anything but the model).
+    shards_.push_back(std::make_unique<ShardManager>(
+        registry, options, s, num_shards_, begin, end, cost_model_, std::vector<int>{},
+        static_cast<ShardTransport*>(this), &metrics_, &trace_));
   }
+  inboxes_.resize(static_cast<size_t>(num_shards_));
+  armed_wake_.assign(static_cast<size_t>(num_shards_),
+                     std::numeric_limits<double>::infinity());
   pool_ = std::make_unique<SimWorkerPool>(options.num_workers, &events_,
                                           backend_.get());
 
   pool_->set_on_task_start([this](const BatchedTask& task) {
     // A task's entries all belong to the shard that owns its worker: tasks
     // are formed by that shard's scheduler out of its own processor.
-    SimShard& sh = *shards_[static_cast<size_t>(
-        shard_of_worker_[static_cast<size_t>(task.worker)])];
+    RequestProcessor& processor =
+        shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(task.worker)])]
+            ->processor();
     for (const TaskEntry& entry : task.entries) {
-      RequestState* state = sh.processor->FindRequest(entry.request);
+      RequestState* state = processor.FindRequest(entry.request);
       if (state != nullptr) {
         state->MarkExecStarted(events_.Now());
       }
@@ -110,77 +74,38 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
   });
   pool_->set_on_task_done([this](const BatchedTask& task) {
     trace_.ExecEnd(task.id, task.type, task.worker, task.BatchSize());
-    SimShard& sh = *shards_[static_cast<size_t>(
-        shard_of_worker_[static_cast<size_t>(task.worker)])];
-    sh.scheduler->OnTaskCompleted(task);
-    // Early termination: if a terminating node just completed, cancel the
-    // request's remaining cells (no-op if the request already finished).
-    for (const TaskEntry& entry : task.entries) {
-      const auto it = terminate_after_.find(entry.request);
-      if (it != terminate_after_.end() && it->second == entry.node) {
-        sh.scheduler->CancelRequest(entry.request);
-        terminate_after_.erase(it);
-      }
-    }
-    // Completion may have released follow-up subgraphs; any worker below
-    // the watermark should pick that work up now rather than wait for its
-    // own idle event.
-    TryRefillWorkers();
-  });
-  pool_->set_on_idle([this](int worker) {
-    TrySchedule(*shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(worker)])],
-                worker);
-    // The schedule above may have *deferred* a type instead of launching;
-    // without a wake event the event queue could drain with the batch
-    // still waiting.
-    ArmLaunchWakeups();
+    const int shard = shard_of_worker_[static_cast<size_t>(task.worker)];
+    CompletionMsg msg;
+    msg.task = task;
+    shards_[static_cast<size_t>(shard)]->Handle(std::move(msg), events_.Now());
+    Step(shard);
   });
 }
 
 RequestId SimEngine::SubmitAt(double at_micros, CellGraph graph, SubmitOptions opts) {
   const RequestId id = next_request_id_++;
+  auto msg = std::make_shared<ArrivalMsg>();
+  msg->id = id;
+  msg->arrival_micros = at_micros;
+  msg->deadline_micros = opts.deadline_micros;
+  msg->priority = opts.priority;
   if (opts.terminate_after_node >= 0) {
     BM_CHECK_LT(opts.terminate_after_node, graph.NumNodes());
-    terminate_after_.emplace(id, opts.terminate_after_node);
+    msg->submission.terminate = [node = opts.terminate_after_node](const RequestState&,
+                                                        int completed_node) {
+      return completed_node == node;
+    };
   }
+  msg->graph = std::move(graph);
   // Arrival routing: requests spread across shards by id.
-  SimShard* home =
-      shards_[static_cast<size_t>(id % static_cast<RequestId>(num_shards_))].get();
-  // CellGraph is moved into the closure; the arrival event admits it.
-  auto shared_graph = std::make_shared<CellGraph>(std::move(graph));
-  events_.ScheduleAt(at_micros, [this, home, id, at_micros, shared_graph,
-                                 priority = opts.priority,
-                                 sla_deadline = opts.deadline_micros] {
-    trace_.RequestArrival(at_micros, id, shared_graph->NumNodes());
-    RequestState* state =
-        home->processor->AddRequest(id, std::move(*shared_graph), at_micros);
-    state->priority = priority;
-    // The per-request SLA deadline and the engine queue timeout stay
-    // distinct (same semantics as the Server): shedding fires on whichever
-    // is tighter, the slack policy reasons about the SLA deadline only.
-    state->deadline_micros = sla_deadline;
-    state->queue_timeout_micros = queue_timeout_micros_;
-    const double shed_deadline = state->ShedDeadlineMicros();
-    // Every request starts never-scheduled, hence stealable.
-    home->stealable.insert({priority, id});
+  const int home = static_cast<int>(id % static_cast<RequestId>(num_shards_));
+  events_.ScheduleAt(at_micros, [this, home, msg] {
+    trace_.RequestArrival(msg->arrival_micros, msg->id, msg->graph.NumNodes());
+    shards_[static_cast<size_t>(home)]->Handle(std::move(*msg), events_.Now());
     // Kick scheduling in a separate same-time event so that all arrivals
     // with identical timestamps are admitted before any task is formed —
-    // the real server likewise drains its arrival queue before scheduling.
-    events_.ScheduleAt(at_micros, [this] { TryRefillWorkers(); });
-    if (shed_deadline > 0.0) {
-      events_.ScheduleAfter(shed_deadline, [this, id] {
-        // The request may have migrated off its home shard; shed it
-        // wherever it lives now.
-        SimShard* owner = nullptr;
-        RequestState* s = FindRequestAnywhere(id, &owner);
-        if (s != nullptr && !s->ExecStarted()) {
-          // Shed before any cell started executing (same rule the server's
-          // deadline heap applies).
-          s->MarkTerminal(RequestStatus::kShed);
-          owner->scheduler->CancelRequest(id);
-        }
-      });
-    }
+    // the real server likewise drains its inbox before scheduling.
+    events_.ScheduleAt(events_.Now(), [this, home] { Step(home); });
   });
   return id;
 }
@@ -196,7 +121,15 @@ void SimEngine::Run(double deadline_micros) {
 size_t SimEngine::NumActiveRequests() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->processor->NumActiveRequests();
+    total += shard->processor().NumActiveRequests();
+  }
+  return total;
+}
+
+size_t SimEngine::TrackedRequests() const {
+  size_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->TrackedRequests();
   }
   return total;
 }
@@ -204,7 +137,7 @@ size_t SimEngine::NumActiveRequests() const {
 int64_t SimEngine::TotalTasksFormed() const {
   int64_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->scheduler->TotalTasksFormed();
+    total += shard->scheduler().TotalTasksFormed();
   }
   return total;
 }
@@ -212,130 +145,47 @@ int64_t SimEngine::TotalTasksFormed() const {
 int64_t SimEngine::TotalMigrations() const {
   int64_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->scheduler->TotalMigrations();
+    total += shard->scheduler().TotalMigrations();
   }
   return total;
 }
 
-RequestState* SimEngine::FindRequestAnywhere(RequestId id, SimShard** owner) {
-  for (auto& shard : shards_) {
-    RequestState* state = shard->processor->FindRequest(id);
-    if (state != nullptr) {
-      *owner = shard.get();
-      return state;
-    }
-  }
-  *owner = nullptr;
-  return nullptr;
-}
-
-RequestState* SimEngine::PopStealable(SimShard& shard) {
-  while (!shard.stealable.empty()) {
-    const auto it = shard.stealable.begin();
-    const RequestId id = it->second;
-    shard.stealable.erase(it);
-    RequestState* state = shard.processor->FindRequest(id);
-    if (state == nullptr || state->ever_scheduled ||
-        state->status != RequestStatus::kOk) {
-      continue;  // stale candidate
-    }
-    return state;
-  }
-  return nullptr;
-}
-
-bool SimEngine::StealInto(SimShard& thief) {
-  // Deterministic victim scan from the next shard up: the single-threaded
-  // event loop makes the whole steal (and hence the figures built on it)
-  // reproducible — this is the testable mirror of the Server's
-  // message-based protocol.
-  for (int i = 1; i < num_shards_; ++i) {
-    SimShard& victim = *shards_[static_cast<size_t>((thief.id + i) % num_shards_)];
-    RequestState* state = PopStealable(victim);
-    if (state == nullptr) {
-      continue;
-    }
-    const RequestId id = state->id;
-    victim.scheduler->DetachRequest(state);
-    std::unique_ptr<RequestState> owned = victim.processor->ReleaseRequest(id);
-    RequestState* adopted = thief.processor->AdoptRequest(std::move(owned));
-    thief.stealable.insert({adopted->priority, id});
-    ++steals_;
-    metrics_.shard(victim.id).steals_out.fetch_add(1, std::memory_order_relaxed);
-    metrics_.shard(thief.id).steals_in.fetch_add(1, std::memory_order_relaxed);
-    trace_.ShardSteal(id, victim.id, thief.id);
-    return true;
-  }
-  return false;
-}
-
-void SimEngine::TryRefillWorkers() {
-  // Watermark refill over the stream depth (queued + running), per shard.
-  // At the default depth 1 this is exactly the legacy "schedule when a
-  // worker is idle": QueueDepth(w) == 0 iff IsIdle(w) at event boundaries.
-  for (auto& shard : shards_) {
-    for (int w = shard->worker_begin; w < shard->worker_end; ++w) {
-      if (pool_->QueueDepth(w) < pipeline_depth_) {
-        TrySchedule(*shard, w);
-        if (!shard->scheduler->HasReadyWork()) {
-          break;
-        }
-      }
-    }
-  }
-  if (num_shards_ <= 1) {
-    ArmLaunchWakeups();
-    return;
-  }
-  // Steal pass: a shard whose worker sits empty with no compatible ready
-  // work pulls one never-scheduled request per empty worker from a peer
-  // (the same whole-request, virgin-only rule as the Server, so pinning is
-  // preserved by construction).
-  for (auto& shard : shards_) {
-    for (int w = shard->worker_begin; w < shard->worker_end; ++w) {
-      if (pool_->QueueDepth(w) != 0 || shard->scheduler->HasCompatibleReadyWork(w)) {
-        continue;
-      }
-      if (!StealInto(*shard)) {
-        ArmLaunchWakeups();
-        return;  // nothing stealable anywhere; later workers fare no better
-      }
-      TrySchedule(*shard, w);
-    }
-  }
-  ArmLaunchWakeups();
-}
-
-void SimEngine::ArmLaunchWakeups() {
-  if (!slack_on_) {
-    return;
-  }
-  const double now = events_.Now();
-  for (auto& shard : shards_) {
-    const double hint = shard->scheduler->NextLaunchMicros();
-    if (hint <= now || hint >= shard->armed_wake) {
-      continue;  // passed (next Schedule launches greedily) or already armed
-    }
-    SimShard* sh = shard.get();
-    sh->armed_wake = hint;
-    events_.ScheduleAt(hint, [this, sh, hint] {
-      if (sh->armed_wake == hint) {
-        sh->armed_wake = std::numeric_limits<double>::infinity();
-      }
-      TryRefillWorkers();
-      // A hint that passed without a launch (e.g. its nodes were pinned to
-      // a still-busy worker) must not re-arm a same-instant event; the
-      // deferral itself stays, so the next feasible Schedule launches.
-      sh->scheduler->ExpireLaunchHints(events_.Now());
-    });
-  }
-}
-
-void SimEngine::TrySchedule(SimShard& shard, int worker) {
-  std::vector<BatchedTask> tasks = shard.scheduler->Schedule(worker, events_.Now());
+void SimEngine::PushTasks(int worker, std::vector<BatchedTask>&& tasks) {
   for (BatchedTask& task : tasks) {
     pool_->Submit(worker, std::move(task));
   }
+}
+
+void SimEngine::Send(int shard, ShardMsg msg) {
+  inboxes_[static_cast<size_t>(shard)].push_back(std::move(msg));
+  events_.ScheduleAt(events_.Now(), [this, shard] {
+    std::deque<ShardMsg>& inbox = inboxes_[static_cast<size_t>(shard)];
+    ShardMsg next = std::move(inbox.front());
+    inbox.pop_front();
+    shards_[static_cast<size_t>(shard)]->Handle(std::move(next), events_.Now());
+    Step(shard);
+  });
+}
+
+void SimEngine::Step(int shard) {
+  shards_[static_cast<size_t>(shard)]->Step(events_.Now());
+  ArmWake(shard);
+}
+
+void SimEngine::ArmWake(int shard) {
+  const double wake = shards_[static_cast<size_t>(shard)]->NextWakeMicros();
+  double& armed = armed_wake_[static_cast<size_t>(shard)];
+  if (wake <= events_.Now() || wake >= armed) {
+    return;  // passed (the next pass acts on it) or already armed
+  }
+  armed = wake;
+  events_.ScheduleAt(wake, [this, shard, wake] {
+    if (armed_wake_[static_cast<size_t>(shard)] == wake) {
+      armed_wake_[static_cast<size_t>(shard)] = std::numeric_limits<double>::infinity();
+    }
+    shards_[static_cast<size_t>(shard)]->Wake(events_.Now());
+    ArmWake(shard);
+  });
 }
 
 }  // namespace batchmaker

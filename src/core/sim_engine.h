@@ -6,29 +6,29 @@
 // scheduling decisions are made by exactly the same code as the
 // real-compute server, only "kernel execution" is simulated.
 //
-// Manager shards (see DESIGN.md "Sharded manager"): like the Server, the
-// simulator partitions scheduler state into EngineOptions::num_shards
-// shards, each owning a RequestProcessor + Scheduler and a contiguous
-// slice of the simulated workers. Arrivals route by request id; a shard
-// whose worker idles with no compatible ready work steals a
-// never-scheduled request from a peer. The event loop is single-threaded,
-// so the same stealing *policy* runs deterministically in virtual time —
-// which is how the sharded policy itself gets reproducible tests.
+// Manager shards (see DESIGN.md "Sharded manager"): the simulator runs
+// the Server's ShardManager (src/core/shard_manager.h) — the same
+// arrival, completion, shedding, stealing, refill and slack-wake code —
+// with virtual time as its clock. EngineOptions::num_shards shards each
+// own a contiguous slice of the simulated workers; arrivals route by
+// request id, and peer messages of the steal protocol are delivered as
+// events at the instant they are sent. The event loop is single-threaded,
+// so the sharded policy runs deterministically — which is how it gets
+// reproducible tests.
 
 #ifndef SRC_CORE_SIM_ENGINE_H_
 #define SRC_CORE_SIM_ENGINE_H_
 
+#include <deque>
 #include <limits>
 #include <memory>
-#include <set>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/core/engine_options.h"
 #include "src/core/metrics.h"
 #include "src/core/request_processor.h"
 #include "src/core/scheduler.h"
+#include "src/core/shard_manager.h"
 #include "src/device/device_backend.h"
 #include "src/graph/cell_registry.h"
 #include "src/obs/trace.h"
@@ -51,7 +51,7 @@ struct SimEngineOptions : EngineOptions {
   SimEngineOptions() { pipeline_depth = 1; }
 };
 
-class SimEngine {
+class SimEngine : private ShardTransport {
  public:
   SimEngine(const CellRegistry* registry, const CostModel* cost_model,
             SimEngineOptions options = {});
@@ -60,7 +60,8 @@ class SimEngine {
   // virtual time). Returns the request id. Per-request parameters
   // (deadline override, terminate_after_node, priority) ride in `opts`;
   // the sim has no token values, so early termination is declared up front
-  // via SubmitOptions::terminate_after_node.
+  // via SubmitOptions::terminate_after_node (evaluated as a TerminationFn,
+  // exactly as Server::Submit does).
   RequestId SubmitAt(double at_micros, CellGraph graph, SubmitOptions opts = {});
 
   // Runs the simulation until all events are processed, or until virtual
@@ -72,12 +73,16 @@ class SimEngine {
   const SimWorkerPool& workers() const { return *pool_; }
   // Shard 0's scheduler (the only shard unless num_shards > 1). Aggregate
   // across shards with TotalTasksFormed()/TotalMigrations() instead.
-  const Scheduler& scheduler() const { return *shards_[0]->scheduler; }
+  const Scheduler& scheduler() const { return shards_[0]->scheduler(); }
   size_t NumActiveRequests() const;
+  // Requests whose submission bookkeeping (termination predicate, wanted
+  // outputs, callback) some shard still holds; 0 once every request has
+  // reached its terminal state.
+  size_t TrackedRequests() const;
   // Effective shard count (num_shards clamped to [1, num_workers]).
   int num_shards() const { return num_shards_; }
   // Requests migrated across shards by the stealing policy.
-  int64_t StealsExecuted() const { return steals_; }
+  int64_t StealsExecuted() const { return metrics_.TotalSteals(); }
   int64_t TotalTasksFormed() const;
   int64_t TotalMigrations() const;
 
@@ -91,62 +96,33 @@ class SimEngine {
   const DeviceBackend* device() const { return backend_.get(); }
 
  private:
-  // One manager shard: processor + scheduler + steal candidates for a
-  // contiguous worker range (the virtual-time mirror of Server::Shard).
-  struct SimShard {
-    int id = 0;
-    int worker_begin = 0;
-    int worker_end = 0;  // exclusive
-    std::unique_ptr<RequestProcessor> processor;
-    std::unique_ptr<Scheduler> scheduler;
-    // Steal candidates ordered by (priority, id); stale entries are
-    // discarded lazily (see Server::Shard::stealable).
-    std::set<std::pair<int, RequestId>> stealable;
-    // Earliest armed wake event for a deferred batch launch (slack-aware
-    // batch formation); +inf = none armed. Earlier hints re-arm; stale
-    // events (the hint moved or the batch already launched) are harmless —
-    // the refill pass they trigger is a no-op.
-    double armed_wake = std::numeric_limits<double>::infinity();
-  };
-
-  void TryRefillWorkers();
-  void TrySchedule(SimShard& shard, int worker);
-  // Arms a virtual-time wake event at each shard's NextLaunchMicros (the
-  // instant a deferred batch must launch), so the slack policy runs at
-  // exact, deterministic instants — the virtual-time mirror of the
-  // Server manager's timed wait.
-  void ArmLaunchWakeups();
-  // Pops the lowest-priority, oldest never-scheduled request of `shard`.
-  RequestState* PopStealable(SimShard& shard);
-  // Migrates one stealable request from some peer into `thief`, scanning
-  // peers deterministically from (thief.id + 1) % num_shards. Returns
-  // true if a request moved.
-  bool StealInto(SimShard& thief);
-  // Current owner of a request (it may have migrated from its home shard).
-  RequestState* FindRequestAnywhere(RequestId id, SimShard** owner);
+  // ShardTransport: tasks go to the simulated worker streams; a peer
+  // message is queued on the destination's inbox and delivered by an event
+  // at the current instant (FIFO per instant, like the Server's inboxes).
+  void PushTasks(int worker, std::vector<BatchedTask>&& tasks) override;
+  void Send(int shard, ShardMsg msg) override;
+  // Runs shard `shard`'s post-message pass and re-arms its wake event.
+  void Step(int shard);
+  // Schedules a wake event at the shard's NextWakeMicros when that is
+  // earlier than the one already armed. Stale wake events (the deadline
+  // was pruned, or the hint moved) are harmless.
+  void ArmWake(int shard);
 
   const CellRegistry* registry_;
   const CostModel* cost_model_;
   // Virtual-time device (caps().virtual_time); SimWorkerPool prices every
   // task duration and migration penalty through it.
   std::unique_ptr<DeviceBackend> backend_;
-  int pipeline_depth_ = 1;
   int num_shards_ = 1;
-  // Slack-aware batch formation on (batch_policy.slack_batching with a
-  // nonzero starvation budget): gates the wake-event arming so the off
-  // path schedules exactly the greedy event sequence.
-  bool slack_on_ = false;
-  double queue_timeout_micros_ = 0.0;
   EventQueue events_;
   MetricsCollector metrics_;
   TraceRecorder trace_;
-  std::vector<std::unique_ptr<SimShard>> shards_;
+  std::vector<std::unique_ptr<ShardManager>> shards_;
+  std::vector<std::deque<ShardMsg>> inboxes_;
+  std::vector<double> armed_wake_;  // +inf = none armed
   std::vector<int> shard_of_worker_;
   std::unique_ptr<SimWorkerPool> pool_;
   RequestId next_request_id_ = 1;
-  int64_t steals_ = 0;
-  // request id -> node whose completion triggers cancellation.
-  std::unordered_map<RequestId, int> terminate_after_;
 };
 
 }  // namespace batchmaker

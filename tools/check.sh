@@ -3,7 +3,10 @@
 # run the full ctest suite, then rebuild the concurrency-sensitive tests
 # under ThreadSanitizer and run them. Mirrors .github/workflows/ci.yml.
 #
-# Usage: tools/check.sh [--no-tsan] [--asan] [--perf-smoke] [--chaos]
+# Usage: tools/check.sh [--lint] [--no-tsan] [--asan] [--perf-smoke] [--chaos]
+#   --lint        run only the source lint checks (removed API usage,
+#                 wall-clock reads in virtual-time paths) and exit; the
+#                 ci.yml lint job runs this
 #   --asan        additionally rebuild the concurrency tests under
 #                 ASan+UBSan and run them (mirrors the ci.yml asan job)
 #   --perf-smoke  additionally run the fig07 + overload perf-smoke points
@@ -19,12 +22,14 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+lint_only=0
 run_tsan=1
 run_asan=0
 run_perf=0
 run_chaos=0
 for arg in "$@"; do
   case "$arg" in
+    --lint) lint_only=1 ;;
     --no-tsan) run_tsan=0 ;;
     --asan) run_asan=1 ;;
     --perf-smoke) run_perf=1 ;;
@@ -57,16 +62,24 @@ fi
 echo "==> sim: no wall-clock reads inside deterministic virtual-time paths"
 # The simulator's timeline (and the slack policy's launch instants inside
 # it) must be a pure function of the event queue: a steady_clock read in
-# these files would silently break resumable, bit-reproducible runs.
+# these files would silently break resumable, bit-reproducible runs. The
+# shard manager serves both clocks, so it takes `now` from its engine and
+# never reads one itself.
 wallclock=$(grep -n \
     -e 'steady_clock' -e 'system_clock' -e 'high_resolution_clock' \
     -e 'NowMicros' \
     src/core/sim_engine.cc src/runtime/sim_worker.cc src/runtime/event_queue.cc \
+    src/core/shard_manager.h src/core/shard_manager.cc \
     || true)
 if [[ -n "$wallclock" ]]; then
-  echo "wall-clock read inside a virtual-time path (use events_.Now()):" >&2
+  echo "wall-clock read inside a virtual-time path (take the engine's now):" >&2
   echo "$wallclock" >&2
   exit 1
+fi
+
+if [[ "$lint_only" == 1 ]]; then
+  echo "==> lint passed"
+  exit 0
 fi
 
 echo "==> tier-1: clean configure + build + ctest"
@@ -100,9 +113,10 @@ if [[ "$run_asan" == 1 ]]; then
   cmake --build build-asan -j "$(nproc)" \
     --target server_test obs_test thread_pool_test determinism_test \
     robustness_test cancellation_test sharding_test api_conformance_test \
-    numa_placement_test watchdog_test util_test device_test
+    numa_placement_test watchdog_test util_test device_test \
+    shard_manager_test sim_engine_test
   ctest --test-dir build-asan --output-on-failure \
-    -R 'server_test|obs_test|thread_pool_test|determinism_test|robustness_test|cancellation_test|sharding_test|api_conformance_test|numa_placement_test|watchdog_test|util_test|device_test'
+    -R 'server_test|obs_test|thread_pool_test|determinism_test|robustness_test|cancellation_test|sharding_test|api_conformance_test|numa_placement_test|watchdog_test|util_test|device_test|shard_manager_test|sim_engine_test'
 fi
 
 if [[ "$run_perf" == 1 ]]; then
