@@ -12,7 +12,7 @@ IdealFixedGraphSystem::IdealFixedGraphSystem(IdealSystemOptions options, std::st
     : options_(std::move(options)), name_(std::move(name)) {
   BM_CHECK_GT(options_.num_leaves, 0);
   BM_CHECK_GT(options_.max_batch, 0);
-  pool_ = std::make_unique<SimWorkerPool>(1, &events_, &backend_);
+  pool_ = std::make_unique<SimWorkerPool>(1, &events_, &unused_cost_model_);
   pool_->set_on_task_done([this](const BatchedTask& task) { OnBatchDone(task); });
   pool_->set_on_idle([this](int) { TryDispatch(); });
 }

@@ -20,7 +20,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/device/sim_backend.h"
 #include "src/runtime/cost_model.h"
 #include "src/runtime/event_queue.h"
 #include "src/runtime/sim_worker.h"
@@ -60,8 +59,7 @@ class IdealFixedGraphSystem : public ServingSystem {
   IdealSystemOptions options_;
   std::string name_;
   EventQueue events_;
-  CostModel unused_cost_model_;
-  SimBackend backend_{&unused_cost_model_};  // tasks carry explicit costs
+  CostModel unused_cost_model_;  // tasks carry explicit costs
   std::unique_ptr<SimWorkerPool> pool_;
   MetricsCollector metrics_;
 

@@ -17,7 +17,7 @@ PaddingSystem::PaddingSystem(PaddingSystemOptions options, std::string name)
       (options_.max_len + options_.bucket_width - 1) / options_.bucket_width;
   buckets_.resize(static_cast<size_t>(num_buckets));
   pool_ = std::make_unique<SimWorkerPool>(options_.num_workers, &events_,
-                                          &backend_);
+                                          &unused_cost_model_);
   pool_->set_on_task_done([this](const BatchedTask& task) { OnBatchDone(task); });
   pool_->set_on_idle([this](int worker) { TryDispatch(worker); });
 }

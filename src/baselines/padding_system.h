@@ -20,7 +20,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/device/sim_backend.h"
 #include "src/runtime/cost_model.h"
 #include "src/runtime/event_queue.h"
 #include "src/runtime/sim_worker.h"
@@ -81,7 +80,6 @@ class PaddingSystem : public ServingSystem {
   std::string name_;
   EventQueue events_;
   CostModel unused_cost_model_;  // tasks carry explicit costs
-  SimBackend backend_{&unused_cost_model_};
   std::unique_ptr<SimWorkerPool> pool_;
   MetricsCollector metrics_;
 

@@ -7,12 +7,12 @@
 // cell executor runs once on the whole batch, and the outputs are scattered
 // back into per-node output tensors.
 //
-// The three stages are exposed separately so a device backend can drive
-// them behind its own seams (DESIGN.md "Device backend API"): the Server's
-// worker thread gathers into its staging arena, submits to its device
-// queue and scatters, in that order, for each task of its stream. Results
-// are bitwise identical to the composed ExecuteTask by construction — the
-// stages compute exactly the same tensors.
+// The three stages are exposed separately so a worker device can drive
+// them (DESIGN.md "Worker device"): the Server's worker thread gathers into
+// its device's staging arena, executes and scatters, in that order, for
+// each task of its stream. Results are bitwise identical to the composed
+// ExecuteTask by construction — the stages compute exactly the same
+// tensors.
 
 #ifndef SRC_CORE_BATCH_ASSEMBLER_H_
 #define SRC_CORE_BATCH_ASSEMBLER_H_
@@ -20,11 +20,19 @@
 #include <vector>
 
 #include "src/core/request_processor.h"
-#include "src/device/device_backend.h"  // GatheredBatch
 #include "src/graph/cell_registry.h"
 #include "src/runtime/task.h"
+#include "src/tensor/tensor.h"
 
 namespace batchmaker {
+
+// The gathered per-slot input batches of one task: the gather stage's
+// output and the execute stage's input. When gathered into an arena the
+// tensors are arena-backed and must be destroyed before that arena is
+// Reset.
+struct GatheredBatch {
+  std::vector<Tensor> inputs;  // one [batch, ...] tensor per cell input slot
+};
 
 class BatchAssembler {
  public:

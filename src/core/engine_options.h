@@ -79,20 +79,18 @@ struct HealthOptions {
 // derive from this, so experiment harnesses can configure either engine
 // through one code path.
 struct EngineOptions {
-  // Execution device, resolved through DeviceRegistry (DESIGN.md "Device
-  // backend API"). Empty selects the engine's native default: "cpu"
-  // (real compute) on the Server, "sim" (virtual-time cost model) on
-  // SimEngine. "null" completes every task with zero outputs after
-  // null_latency_micros — a compute-free harness for scheduler and
-  // pipeline studies.
+  // Execution device (DESIGN.md "Worker device"). The Server runs "cpu"
+  // (real compute; the default) or "null", which completes every task
+  // with zero outputs after null_latency_micros — a compute-free harness
+  // for scheduler and pipeline studies. SimEngine runs only "sim" (its
+  // CostModel; the default). Any other name fails construction.
   std::string backend;
-  // NullBackend only: fixed per-task completion latency, microseconds.
+  // "null" only: fixed per-task execute latency, microseconds.
   double null_latency_micros = 0.0;
   int num_workers = 1;
-  // Width of each worker's intra-task thread pool (backends with
-  // caps().supports_intra_task_pool): GEMM output blocks and gather /
-  // scatter rows of one task fan across this many threads. Total
-  // exec-side threads ~= num_workers * threads_per_worker.
+  // Width of each worker's intra-task thread pool ("cpu"): GEMM output
+  // blocks and scatter rows of one task fan across this many threads.
+  // Total exec-side threads ~= num_workers * threads_per_worker.
   int threads_per_worker = 1;
   // Manager shards (see DESIGN.md "Sharded manager"): scheduler state is
   // partitioned into this many independent manager loops, each owning a
@@ -102,10 +100,13 @@ struct EngineOptions {
   // [1, num_workers]; 1 reproduces the single-manager behaviour exactly.
   int num_shards = 1;
   // Low watermark on each worker's in-flight task count (the paper's
-  // pipelined task submission). The Server defaults to 2 (hide the
-  // completion->manager->schedule round-trip); SimEngineOptions resets it
-  // to 1, where virtual time has no such latency and a deeper stream only
-  // costs batching.
+  // pipelined task submission): a stream holding fewer tasks is refilled
+  // with one whole Schedule result of up to
+  // scheduler.max_tasks_to_submit tasks (Algorithm 1's MaxTasksToSubmit),
+  // so a worker holds at most pipeline_depth - 1 + max_tasks_to_submit.
+  // The Server defaults to 2 (hide the completion->manager->schedule
+  // round-trip); SimEngineOptions resets it to 1, where virtual time has
+  // no such latency and a deeper stream only costs batching.
   int pipeline_depth = 2;
   SchedulerOptions scheduler;
   // SLA-aware batch formation (DESIGN.md): slack-driven delay/launch of

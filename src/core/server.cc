@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/device/device_registry.h"
 #include "src/util/logging.h"
 #include "src/util/topology.h"
 
@@ -47,7 +46,8 @@ const char* WorkerHealthName(WorkerHealth health) {
 // The worker thread runs each task of its FIFO stream to the end — gather,
 // execute, scatter — before it pops the next, so task t has scattered
 // before task t+1 gathers: a consumer never reads a row its producer has
-// not written, and one staging arena, reset after every task, suffices.
+// not written, and its device's one staging arena, reset after every task,
+// suffices.
 //
 // Failure poison (`failed_produced`): when a task fails to execute
 // (injected fault or a throwing cell), its entries' (request, node) keys go
@@ -64,9 +64,6 @@ struct Server::WorkerPipeline {
   // Guards failed_produced and the in-flight copy below.
   std::mutex mu;
   std::unordered_set<uint64_t> failed_produced;
-  // Device staging buffer (backend_->CreateArena()); the CPU backend's
-  // wraps a TensorArena, compute-free backends hand out a no-op arena.
-  std::unique_ptr<DeviceArena> staging;
   // Total worker-thread time blocked on the task queue (see
   // WorkerIdleMicros). Written only by the worker thread; read from any
   // thread.
@@ -134,36 +131,12 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   BM_CHECK_GT(options_.num_shards, 0);
   num_shards_ = std::min(options_.num_shards, options_.num_workers);
 
-  // Resolve the execution device (DESIGN.md "Device backend API"). The
-  // Server drives any registered backend through the DeviceBackend seam;
-  // empty selects the real-compute CPU backend, the pre-refactor
-  // behaviour.
-  DeviceConfig device_config;
-  device_config.registry = registry;
-  device_config.precision = options_.precision;
-  device_config.null_latency_micros = options_.null_latency_micros;
-  const std::string backend_name =
-      options_.backend.empty() ? "cpu" : options_.backend;
-  backend_ = DeviceRegistry::Instance().Create(backend_name, device_config);
-  BM_CHECK(backend_ != nullptr)
-      << "unknown or unavailable device backend '" << backend_name << "'";
-  caps_ = backend_->caps();
-  BM_CHECK(!caps_.virtual_time)
-      << "backend '" << backend_name
-      << "' models virtual time; drive it through SimEngine, not Server";
-  BM_CHECK(caps_.supported_precisions[static_cast<int>(options_.precision)])
-      << "backend '" << backend_name << "' does not support the requested "
-      << "GEMM precision";
-  if (options_.numa_policy != NumaPolicy::kNone && !caps_.supports_numa_pinning) {
-    BM_LOG(Warning) << "backend '" << backend_name << "' does not support "
-                    << "NUMA pinning; degrading numa_policy to none";
-    options_.numa_policy = NumaPolicy::kNone;
-  }
-  if (options_.health.health_watchdog && !caps_.supports_watchdog) {
-    BM_LOG(Warning) << "backend '" << backend_name << "' execution makes no "
-                    << "heartbeat-visible progress; disabling health watchdog";
-    options_.health.health_watchdog = false;
-  }
+  // Resolve the worker device (DESIGN.md "Worker device"); empty selects
+  // the real-compute cpu device.
+  const std::string backend_name = options_.backend.empty() ? "cpu" : options_.backend;
+  make_device_ = FindWorkerDevice(backend_name);
+  BM_CHECK(make_device_ != nullptr)
+      << "unknown device backend '" << backend_name << "' (Server runs \"cpu\" or \"null\")";
   if (options_.enable_tracing) {
     trace_.Enable();
   }
@@ -193,9 +166,7 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   shard_of_worker_.assign(static_cast<size_t>(num_workers), 0);
   for (int i = 0; i < num_workers; ++i) {
     task_queues_.push_back(std::make_unique<BlockingQueue<WorkerTask>>());
-    auto pipe = std::make_unique<WorkerPipeline>();
-    pipe->staging = backend_->CreateArena();
-    pipelines_.push_back(std::move(pipe));
+    pipelines_.push_back(std::make_unique<WorkerPipeline>());
   }
 
   // Worker failure domains (DESIGN.md): published per-worker health and
@@ -286,8 +257,7 @@ void Server::Start() {
   // Low-precision serving: quantize + pack every registered cell's weights
   // up front so the first batch doesn't pay the (one-time) quantization
   // cost, and record which kernel the dispatcher resolved the precision to.
-  // Only real-compute backends read the packs.
-  if (caps_.real_compute && options_.precision != Precision::kF32) {
+  if (options_.precision != Precision::kF32) {
     for (CellTypeId t = 0; t < registry_->NumTypes(); ++t) {
       registry_->executor(t).EnsurePacked(options_.precision);
     }
@@ -859,7 +829,7 @@ void Server::WatchdogCheckWorker(int worker, double now_micros) {
 void Server::WorkerLoop(int worker) {
   SetCurrentThreadName("worker/" + std::to_string(worker));
   WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
-  // Pin before constructing the pool: spawned pool threads inherit this
+  // Pin before building the device: its pool threads inherit this
   // thread's affinity mask, so one pin covers the whole intra-task pool.
   const int my_node = numa_on_ ? worker_node_[static_cast<size_t>(worker)] : -1;
   if (my_node >= 0) {
@@ -868,24 +838,22 @@ void Server::WorkerLoop(int worker) {
     worker_pinned_[static_cast<size_t>(worker)].store(pinned,
                                                       std::memory_order_relaxed);
     trace_.WorkerPinned(worker, my_node, pinned);
-    // First-touch the staging arena from its pinned owner: its steady-state
-    // pages land on this node, so gathers write locally.
-    pipe.staging->Prefault(size_t{1} << 20);
   }
-  // This worker's execution resources — intra-task pool, scratch arena,
-  // NUMA weight replicas — live inside its device queue, constructed here
-  // on the pinned thread so backend allocations inherit the affinity and
-  // first-touch placement. Destroying the queue (normal exit, chaos exit)
-  // releases the replicas, so a respawned thread re-acquires them by
-  // re-creating it.
-  DeviceQueueOptions qopts;
-  qopts.worker = worker;
-  qopts.threads = options_.threads_per_worker;
-  qopts.thread_name_prefix = "pool/" + std::to_string(worker) + "-";
-  qopts.numa_node = my_node;
-  qopts.replicate_weights = numa_replicate_ && my_node >= 0;
-  std::unique_ptr<DeviceQueue> device = backend_->CreateQueue(qopts);
-  BM_CHECK(device != nullptr);
+  // This worker's execution resources — intra-task pool, staging and
+  // scratch arenas, NUMA weight replicas — live in its device, built here
+  // on the pinned thread so they inherit the affinity and first-touch
+  // placement. Destroying the device (normal exit, chaos exit) releases
+  // the replicas, so a respawned thread re-acquires them by building a new
+  // one.
+  WorkerDeviceOptions device_options;
+  device_options.registry = registry_;
+  device_options.precision = options_.precision;
+  device_options.threads = options_.threads_per_worker;
+  device_options.thread_name_prefix = "pool/" + std::to_string(worker) + "-";
+  device_options.numa_node = my_node;
+  device_options.replicate_weights = numa_replicate_ && my_node >= 0;
+  device_options.null_latency_micros = options_.null_latency_micros;
+  std::unique_ptr<WorkerDevice> device = make_device_(device_options);
   auto& tasks = *task_queues_[static_cast<size_t>(worker)];
   // Completions go to the inbox of the shard that owns this worker.
   auto& inbox = shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(worker)])]
@@ -987,9 +955,9 @@ void Server::WorkerLoop(int worker) {
       if (chaos.exit_thread) {
         // Crash drill: exit without executing, scattering or reporting.
         // inflight_valid stays set — the watchdog-initiated quarantine
-        // reclaims the task from the pipeline's copy. The queue is torn
+        // reclaims the task from the pipeline's copy. The device is torn
         // down like a normal exit (releasing any weight replicas) so the
-        // respawned thread can re-create it.
+        // respawned thread can build a new one.
         device.reset();
         if (health_on_) {
           pipe.alive.store(2);
@@ -1049,11 +1017,7 @@ void Server::WorkerLoop(int worker) {
     const std::vector<uint8_t>* mask = poisoned.empty() ? nullptr : &poisoned;
 
     trace_.GatherBegin(task_id, type, worker, batch);
-    // Compute-free backends stage nothing.
-    GatheredBatch gathered;
-    if (caps_.requires_gather) {
-      backend_->Gather(wt->task, wt->states, &gathered, pipe.staging.get(), mask);
-    }
+    GatheredBatch gathered = device->Gather(wt->task, wt->states, mask);
     trace_.GatherEnd(task_id, type, worker, batch);
     if (health_on_) {
       heartbeat();
@@ -1096,14 +1060,10 @@ void Server::WorkerLoop(int worker) {
       }
     }
     trace_.ExecBegin(exec_start, task_id, type, worker, batch);
-    // Submit to the device stream and fence on completion. The CPU backend
-    // executes inline (the event returns signalled). A failed event means
-    // the whole task produced nothing — treated exactly like an injected
-    // fault with no victim.
-    DeviceEventPtr done = device->Submit(wt->task, gathered);
-    done->Wait();
-    const bool exec_threw = done->failed();
-    std::vector<Tensor> outputs = done->TakeOutputs();
+    // Execute also recycles the device's arenas. A task that produced
+    // nothing is treated exactly like an injected fault with no victim.
+    std::optional<std::vector<Tensor>> outputs =
+        device->Execute(wt->task, std::move(gathered));
     if (slowdown > 1.0) {
       // Degraded-worker drill: stretch the measured span before the
       // post-execute heartbeat so both the watchdog's slow classifier and
@@ -1111,19 +1071,14 @@ void Server::WorkerLoop(int worker) {
       std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(
           (slowdown - 1.0) * (NowMicros() - exec_start)));
     }
-    // The gather buffers are dead: drop the arena-backed tensors, then
-    // recycle the staging arena for the next task (the backend recycled
-    // its own scratch inside Submit).
-    gathered.inputs.clear();
-    pipe.staging->Reset();
 
-    if (exec_threw) {
+    if (!outputs) {
       tasks_failed_.fetch_add(1);
       fail_all(-1);
       continue;
     }
 
-    device->Scatter(wt->task, wt->states, outputs, mask);
+    device->Scatter(wt->task, wt->states, *outputs, mask);
     if (my_node >= 0) {
       // Remember where these requests' outputs now live; gathers use it to
       // estimate cross-node traffic (diagnostic only).

@@ -16,8 +16,9 @@
 // reproduces the single-manager behaviour exactly.
 //
 // One thread per worker (standing in for the paper's per-GPU workers)
-// executes batched tasks from its FIFO task stream on the CPU via the
-// device backend. Completed tasks flow back to the owning shard's manager
+// executes batched tasks from its FIFO task stream on its own
+// WorkerDevice (src/device/worker_device.h: "cpu" computes, "null" returns
+// zeros after a fixed latency). Completed tasks flow back to the owning shard's manager
 // through its inbox; the manager updates dependencies, schedules follow-up
 // tasks, and fires the request callback when a request's last cell
 // finishes — so a short request returns immediately even when batched with
@@ -28,8 +29,8 @@
 // (watermark refill on each completion), so a worker never drains its
 // pipeline and then idles for a completion→manager→schedule round-trip.
 // The worker thread runs its stream in order: for each task it gathers
-// the input rows into its staging arena, runs the cells on the intra-task
-// pool, scatters the outputs and reports the completion before it pops
+// the input rows into its device's staging arena, runs the cells on the
+// device's intra-task pool, scatters the outputs and reports the completion before it pops
 // the next task. Task t has therefore scattered before task t+1 gathers,
 // so results are bitwise identical to SyncEngine at any depth and any
 // shard count.
@@ -78,7 +79,7 @@
 #include "src/core/request_processor.h"
 #include "src/core/scheduler.h"
 #include "src/core/shard_manager.h"
-#include "src/device/device_backend.h"
+#include "src/device/worker_device.h"
 #include "src/graph/cell_registry.h"
 #include "src/obs/trace.h"
 #include "src/runtime/online_cost_model.h"
@@ -86,7 +87,7 @@
 
 namespace batchmaker {
 
-// Server configuration. The common engine core (device backend, workers,
+// Server configuration. The common engine core (device, workers,
 // threads_per_worker, shards, pipeline_depth, scheduler, tracing,
 // admission) lives in EngineOptions; see src/core/engine_options.h.
 struct ServerOptions : EngineOptions {
@@ -216,12 +217,6 @@ class Server : private ShardTransport {
   // whose deadline lies ahead. Only safe to read after Shutdown.
   size_t PendingDeadlines() const;
 
-  // The execution device this server was constructed with (see
-  // EngineOptions::backend) and its capability flags. Never null once the
-  // constructor returns.
-  const DeviceBackend* device() const { return backend_.get(); }
-  const DeviceCaps& device_caps() const { return caps_; }
-
   // The online-calibrated cost model feeding slack-aware batch formation
   // and the health watchdog's hang thresholds; null unless
   // batch_policy.slack_batching or health.health_watchdog is set. (The
@@ -318,11 +313,10 @@ class Server : private ShardTransport {
   ServerOptions options_;
   AdmissionOptions admission_;
   int num_shards_ = 1;
-  // The execution device (EngineOptions::backend via DeviceRegistry).
-  // Owns gather/execute/scatter; the Server owns scheduling, failure
-  // poisoning and the stream protocol. caps_ is a copy taken at construction.
-  std::unique_ptr<DeviceBackend> backend_;
-  DeviceCaps caps_;
+  // Builds each worker thread's device (EngineOptions::backend, resolved
+  // at construction). The device owns gather/execute/scatter; the Server
+  // owns scheduling, failure poisoning and the stream protocol.
+  MakeWorkerDeviceFn make_device_ = nullptr;
   TraceRecorder trace_;
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -487,7 +487,14 @@ void ShardManager::OnReadmit(int worker) {
   }
   quarantined = 0;
   metrics_->worker(worker).readmissions.fetch_add(1, std::memory_order_relaxed);
-  TrySchedule(worker);
+  // Refill only below the watermark, like every other refill: a live
+  // worker can still owe completions (on the Server the watchdog's probe
+  // may reach the inbox ahead of them), and their targeted refills cover
+  // the rest.
+  const size_t local = static_cast<size_t>(worker - worker_begin_);
+  if (HasRoom(local)) {
+    TrySchedule(worker);
+  }
 }
 
 void ShardManager::Requeue(int worker, const BatchedTask& task) {

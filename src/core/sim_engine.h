@@ -29,7 +29,6 @@
 #include "src/core/request_processor.h"
 #include "src/core/scheduler.h"
 #include "src/core/shard_manager.h"
-#include "src/device/device_backend.h"
 #include "src/graph/cell_registry.h"
 #include "src/obs/trace.h"
 #include "src/runtime/cost_model.h"
@@ -91,10 +90,6 @@ class SimEngine : private ShardTransport {
   const TraceRecorder& trace() const { return trace_; }
   TraceRecorder& trace() { return trace_; }
 
-  // The virtual-time device backend pricing task durations (see
-  // EngineOptions::backend; default "sim" wraps the engine's CostModel).
-  const DeviceBackend* device() const { return backend_.get(); }
-
  private:
   // ShardTransport: tasks go to the simulated worker streams; a peer
   // message is queued on the destination's inbox and delivered by an event
@@ -109,10 +104,8 @@ class SimEngine : private ShardTransport {
   void ArmWake(int shard);
 
   const CellRegistry* registry_;
+  // Prices every simulated task duration and migration penalty.
   const CostModel* cost_model_;
-  // Virtual-time device (caps().virtual_time); SimWorkerPool prices every
-  // task duration and migration penalty through it.
-  std::unique_ptr<DeviceBackend> backend_;
   int num_shards_ = 1;
   EventQueue events_;
   MetricsCollector metrics_;

@@ -7,13 +7,11 @@
 namespace batchmaker {
 
 SimWorkerPool::SimWorkerPool(int num_workers, EventQueue* events,
-                             const DeviceBackend* device)
-    : events_(events), device_(device), workers_(static_cast<size_t>(num_workers)) {
+                             const CostModel* cost_model)
+    : events_(events), cost_model_(cost_model), workers_(static_cast<size_t>(num_workers)) {
   BM_CHECK_GT(num_workers, 0);
   BM_CHECK(events != nullptr);
-  BM_CHECK(device != nullptr);
-  BM_CHECK(device->caps().virtual_time)
-      << "SimWorkerPool needs a virtual-time device backend";
+  BM_CHECK(cost_model != nullptr);
 }
 
 bool SimWorkerPool::IsIdle(int worker) const {
@@ -56,9 +54,8 @@ void SimWorkerPool::StartNext(int worker) {
   const BatchedTask& task = w.stream.front();
   double cost = task.explicit_cost_micros >= 0.0
                     ? task.explicit_cost_micros
-                    : device_->EstimateTaskMicros(task.type, task.BatchSize());
-  BM_CHECK_GE(cost, 0.0) << "device backend cannot price task durations";
-  cost += task.migrated_subgraphs * device_->EstimateMigrationPenaltyMicros();
+                    : cost_model_->TaskMicros(task.type, task.BatchSize());
+  cost += task.migrated_subgraphs * cost_model_->MigrationPenaltyMicros();
   w.busy_micros += cost;
   w.items += task.BatchSize();
   w.tasks += 1;

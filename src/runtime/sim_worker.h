@@ -4,8 +4,7 @@
 // to the same stream execute in submission order, which is what makes
 // pipelined task submission and subgraph pinning correct). Submitting to a
 // busy worker queues the task; tasks run back to back with durations priced
-// through a virtual-time DeviceBackend (or the task's explicit cost). Two
-// callbacks drive the
+// by a CostModel (or the task's explicit cost). Two callbacks drive the
 // serving engine:
 //   * on_task_done  — fired at each task's completion time;
 //   * on_idle       — fired when a worker's stream drains (the paper's
@@ -19,7 +18,7 @@
 #include <functional>
 #include <vector>
 
-#include "src/device/device_backend.h"
+#include "src/runtime/cost_model.h"
 #include "src/runtime/event_queue.h"
 #include "src/runtime/task.h"
 
@@ -31,9 +30,9 @@ class SimWorkerPool {
   using TaskDoneFn = std::function<void(const BatchedTask&)>;
   using IdleFn = std::function<void(int worker)>;
 
-  // `device` must model virtual time (caps().virtual_time) and outlive the
-  // pool; every task duration and migration penalty is priced through it.
-  SimWorkerPool(int num_workers, EventQueue* events, const DeviceBackend* device);
+  // `cost_model` must outlive the pool; every task without an explicit
+  // cost and every migration penalty is priced through it.
+  SimWorkerPool(int num_workers, EventQueue* events, const CostModel* cost_model);
 
   // Fired when a task begins executing (used for queueing-time metrics).
   void set_on_task_start(TaskStartFn fn) { on_task_start_ = std::move(fn); }
@@ -73,7 +72,7 @@ class SimWorkerPool {
   void OnTaskFinished(int worker);
 
   EventQueue* events_;
-  const DeviceBackend* device_;
+  const CostModel* cost_model_;
   TaskStartFn on_task_start_;
   TaskDoneFn on_task_done_;
   IdleFn on_idle_;

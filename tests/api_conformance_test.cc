@@ -4,7 +4,7 @@
 // below funnel every engine through one adapter struct, so a signature
 // drift in any engine breaks compilation here before it breaks users.
 // The same discipline covers device selection: EngineOptions::backend
-// resolves through DeviceRegistry, and one submission function drives
+// picks the device, and one submission function drives
 // Server x {cpu, null} and SimEngine x {sim} without engine- or
 // backend-specific call shapes. (The pre-unification aliases — old option
 // field names, positional overloads, SyncEngine::TakeOutputs — are
@@ -300,7 +300,7 @@ TEST(ApiConformanceTest, NumShardsClampsToNumWorkers) {
   EXPECT_EQ(sim.num_shards(), 2);
 }
 
-// ---- Device-backend matrix (EngineOptions::backend + DeviceRegistry) ----
+// ---- Device-backend matrix (EngineOptions::backend) ----
 
 TEST(ApiConformanceTest, BackendSelectionDrivesEnginesThroughOneCodePath) {
   // Identical submission code per engine; only EngineOptions::backend
@@ -326,7 +326,6 @@ TEST(ApiConformanceTest, BackendSelectionDrivesEnginesThroughOneCodePath) {
     options.num_workers = 2;
     options.num_shards = 2;
     Server server(&fix.registry, options);
-    EXPECT_STREQ(server.device()->name(), backend);
     server.Start();
     const auto responses = DriveEngine(AdaptServer(&server), fix.model, requests,
                                        kHidden, opts_for);
@@ -359,7 +358,6 @@ TEST(ApiConformanceTest, BackendSelectionDrivesEnginesThroughOneCodePath) {
   SimEngineOptions sim_options;
   sim_options.backend = "sim";
   SimEngine sim(&sim_fix.registry, &cost, sim_options);
-  EXPECT_STREQ(sim.device()->name(), "sim");
   const auto sim_responses = DriveEngine(AdaptSimEngine(&sim), sim_fix.model,
                                          requests, kHidden, opts_for);
   for (const Response& r : sim_responses) {

@@ -1,235 +1,153 @@
-// Pins the DeviceBackend contract (DESIGN.md "Device backend API"):
-// registry round-trips, per-backend capability flags, staging-buffer
-// lifetime, event/fence semantics (signal exactly once, fixed-latency
-// deadlines, FIFO completion per queue), and the null backend's
-// compute-free zero outputs. Engine-level conformance (Server x {cpu,
-// null}, SimEngine x sim driven by identical submission code) lives in
-// api_conformance_test.cc; bitwise identity of the cpu backend lives in
-// determinism_test.cc.
+// Pins the WorkerDevice contract (DESIGN.md "Worker device"): the cpu
+// device's gather/execute/scatter equals BatchAssembler bitwise, poisoned
+// rows gather as zeros, a throwing cell produces nothing, the null
+// device's outputs are zero and shaped for the batch and arrive in order
+// after the fixed latency, and unknown device names fail loudly on both
+// engines. Engine-level conformance (Server x {cpu, null}, SimEngine
+// driven by identical submission code) lives in api_conformance_test.cc.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/core/batch_assembler.h"
 #include "src/core/request.h"
-#include "src/device/cpu_backend.h"
-#include "src/device/device_backend.h"
-#include "src/device/device_registry.h"
-#include "src/device/null_backend.h"
-#include "src/device/sim_backend.h"
+#include "src/core/server.h"
+#include "src/core/sim_engine.h"
+#include "src/device/worker_device.h"
 #include "src/runtime/cost_model.h"
 #include "tests/test_models.h"
 
 namespace batchmaker {
 namespace {
 
-DeviceConfig CpuConfig(const CellRegistry* registry) {
-  DeviceConfig config;
-  config.registry = registry;
-  return config;
-}
-
-// ---- Registry --------------------------------------------------------------
-
-TEST(DeviceRegistryTest, BuiltinNamesRoundTrip) {
-  DeviceRegistry& reg = DeviceRegistry::Instance();
-  EXPECT_TRUE(reg.Has("cpu"));
-  EXPECT_TRUE(reg.Has("null"));
-  EXPECT_TRUE(reg.Has("sim"));
-  const std::vector<std::string> names = reg.Names();
-  EXPECT_GE(names.size(), 3u);
-
-  TinyLstmFixture fix;
-  for (const char* name : {"cpu", "null"}) {
-    auto backend = reg.Create(name, CpuConfig(&fix.registry));
-    ASSERT_NE(backend, nullptr) << name;
-    EXPECT_STREQ(backend->name(), name);
+std::unique_ptr<WorkerDevice> MakeDevice(const char* name, const CellRegistry* registry,
+                                         WorkerDeviceOptions options = {}) {
+  const MakeWorkerDeviceFn make = FindWorkerDevice(name);
+  if (make == nullptr) {
+    return nullptr;
   }
-
-  CostModel cost;
-  DeviceConfig sim_config;
-  sim_config.cost_model = &cost;
-  auto sim = reg.Create("sim", sim_config);
-  ASSERT_NE(sim, nullptr);
-  EXPECT_STREQ(sim->name(), "sim");
+  options.registry = registry;
+  return make(options);
 }
 
-TEST(DeviceRegistryTest, UnknownOrMisconfiguredBackendsCreateNull) {
-  DeviceRegistry& reg = DeviceRegistry::Instance();
-  EXPECT_FALSE(reg.Has("tpu"));
-  EXPECT_EQ(reg.Create("tpu", DeviceConfig{}), nullptr);
-  // Builtins refuse configs missing their required inputs.
-  EXPECT_EQ(reg.Create("cpu", DeviceConfig{}), nullptr);   // no CellRegistry
-  EXPECT_EQ(reg.Create("sim", DeviceConfig{}), nullptr);   // no CostModel
-}
-
-// A registered third-party backend is creatable by name, just like the
-// builtins the engines resolve through EngineOptions::backend.
-class FixedCapsBackend : public DeviceBackend {
- public:
-  FixedCapsBackend() { caps_.supports_watchdog = true; }
-  const char* name() const override { return "test-fixed"; }
-  const DeviceCaps& caps() const override { return caps_; }
-  std::unique_ptr<DeviceQueue> CreateQueue(const DeviceQueueOptions&) override {
-    return nullptr;  // unavailable; never exercised by this test
+// `ids.size()` requests of `steps`-step LSTM chains with random externals
+// drawn from `seed`; states[i] owns ids[i].
+std::vector<std::unique_ptr<RequestState>> MakeStates(const TinyLstmFixture& fix,
+                                                      const std::vector<RequestId>& ids,
+                                                      int steps, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::unique_ptr<RequestState>> owned;
+  for (RequestId id : ids) {
+    auto state = std::make_unique<RequestState>();
+    state->id = id;
+    state->graph = fix.model.Unfold(steps);
+    for (int e = 0; e < steps + 2; ++e) {  // x_0..x_{steps-1}, h0, c0
+      state->externals.push_back(Tensor::RandomUniform(Shape{1, 4}, 1.0f, &rng));
+    }
+    state->node_outputs.resize(static_cast<size_t>(steps));
+    owned.push_back(std::move(state));
   }
-
- private:
-  DeviceCaps caps_;
-};
-
-TEST(DeviceRegistryTest, ThirdPartyBackendsRegisterByName) {
-  DeviceRegistry& reg = DeviceRegistry::Instance();
-  reg.Register("test-fixed", [](const DeviceConfig&) {
-    return std::make_unique<FixedCapsBackend>();
-  });
-  ASSERT_TRUE(reg.Has("test-fixed"));
-  auto backend = reg.Create("test-fixed", DeviceConfig{});
-  ASSERT_NE(backend, nullptr);
-  EXPECT_STREQ(backend->name(), "test-fixed");
-  EXPECT_TRUE(backend->caps().supports_watchdog);
+  return owned;
 }
 
-// ---- Capability flags ------------------------------------------------------
-
-TEST(DeviceCapsTest, PerBackendFlagsMatchTheirContracts) {
-  TinyLstmFixture fix;
-  DeviceRegistry& reg = DeviceRegistry::Instance();
-
-  const auto cpu = reg.Create("cpu", CpuConfig(&fix.registry));
-  ASSERT_NE(cpu, nullptr);
-  EXPECT_TRUE(cpu->caps().real_compute);
-  EXPECT_FALSE(cpu->caps().virtual_time);
-  EXPECT_TRUE(cpu->caps().requires_gather);
-  EXPECT_TRUE(cpu->caps().supports_numa_pinning);
-  EXPECT_TRUE(cpu->caps().supports_intra_task_pool);
-  EXPECT_TRUE(cpu->caps().supports_watchdog);
-  for (int p = 0; p < kNumPrecisions; ++p) {
-    EXPECT_TRUE(cpu->caps().supported_precisions[p]) << p;
+std::vector<RequestState*> Raw(const std::vector<std::unique_ptr<RequestState>>& owned) {
+  std::vector<RequestState*> states;
+  for (const auto& state : owned) {
+    states.push_back(state.get());
   }
-
-  const auto null_backend = reg.Create("null", CpuConfig(&fix.registry));
-  ASSERT_NE(null_backend, nullptr);
-  EXPECT_FALSE(null_backend->caps().real_compute);
-  EXPECT_FALSE(null_backend->caps().virtual_time);
-  EXPECT_FALSE(null_backend->caps().requires_gather);
-  EXPECT_TRUE(null_backend->caps().supports_watchdog);
-
-  CostModel cost;
-  DeviceConfig sim_config;
-  sim_config.cost_model = &cost;
-  const auto sim = reg.Create("sim", sim_config);
-  ASSERT_NE(sim, nullptr);
-  EXPECT_TRUE(sim->caps().virtual_time);
-  EXPECT_FALSE(sim->caps().real_compute);
+  return states;
 }
 
-// ---- Events ----------------------------------------------------------------
-
-TEST(DeviceEventTest, CompleteSignalsOnceAndHandsOverOutputs) {
-  const DeviceEventPtr event = std::make_shared<DeviceEvent>();
-  EXPECT_FALSE(event->Signaled());
-  std::vector<Tensor> outputs;
-  outputs.push_back(Tensor::Zeros(Shape{2, 4}));
-  event->Complete(std::move(outputs));
-  EXPECT_TRUE(event->Signaled());
-  event->Wait();  // already signalled: returns immediately
-  EXPECT_FALSE(event->failed());
-  const std::vector<Tensor> taken = event->TakeOutputs();
-  ASSERT_EQ(taken.size(), 1u);
-  EXPECT_EQ(taken[0].shape(), (Shape{2, 4}));
+BatchedTask StepTask(uint64_t id, CellTypeId type, const std::vector<RequestId>& ids,
+                     int node) {
+  BatchedTask task;
+  task.id = id;
+  task.type = type;
+  for (RequestId request : ids) {
+    task.entries.push_back(TaskEntry{request, node});
+  }
+  return task;
 }
 
-TEST(DeviceEventTest, FailSignalsWithEmptyOutputs) {
-  const DeviceEventPtr event = std::make_shared<DeviceEvent>();
-  event->Fail();
-  event->Wait();
-  EXPECT_TRUE(event->failed());
-  EXPECT_TRUE(event->TakeOutputs().empty());
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && a.dtype() == b.dtype() &&
+         std::memcmp(a.f32(), b.f32(), static_cast<size_t>(a.NumElements()) * sizeof(float)) ==
+             0;
 }
 
-TEST(DeviceEventTest, FixedLatencyDeadlineGatesSignaledAndWait) {
-  const DeviceEventPtr event = std::make_shared<DeviceEvent>();
-  const auto start = std::chrono::steady_clock::now();
-  event->CompleteAfter(/*latency_micros=*/20000.0, {});
-  // Signaled() stays false until the deadline passes, so per-queue
-  // completion order tracks submission order even with zero compute.
-  EXPECT_FALSE(event->Signaled());
-  event->Wait();
-  const double waited_micros =
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
-                                                start)
-          .count();
-  EXPECT_GE(waited_micros, 20000.0);
-  EXPECT_TRUE(event->Signaled());
-  EXPECT_FALSE(event->failed());
-}
+// ---- cpu device -------------------------------------------------------------
 
-// ---- Staging arenas --------------------------------------------------------
-
-TEST(DeviceArenaTest, CpuArenaExposesHostStorageNullArenaDoesNot) {
+// Two steps of three chains through the device (on a two-thread pool)
+// and through BatchAssembler::ExecuteTask on identical copies: every
+// scattered output is bitwise equal.
+TEST(CpuDeviceTest, GatherExecuteScatterMatchesBatchAssemblerBitwise) {
   TinyLstmFixture fix;
-  CpuBackend cpu(&fix.registry, Precision::kF32);
-  const auto arena = cpu.CreateArena();
-  ASSERT_NE(arena, nullptr);
-  ASSERT_NE(arena->host(), nullptr);
-  arena->Prefault(size_t{1} << 16);
-  // The arena is reusable across tasks: allocate, reset, and the next
-  // gather can allocate again.
-  Tensor staged = Tensor::Zeros(Shape{2, 4});
-  (void)staged;
-  arena->Reset();
-  arena->Prefault(size_t{1} << 16);
-  arena->Reset();
+  const CellTypeId type = fix.model.cell_type();
+  const std::vector<RequestId> ids = {1, 2, 3};
+  const auto device_owned = MakeStates(fix, ids, 2, /*seed=*/11);
+  const auto reference_owned = MakeStates(fix, ids, 2, /*seed=*/11);
+  const std::vector<RequestState*> device_states = Raw(device_owned);
+  const std::vector<RequestState*> reference_states = Raw(reference_owned);
 
-  NullBackend null_backend(&fix.registry, /*latency_micros=*/0.0);
-  const auto null_arena = null_backend.CreateArena();
-  ASSERT_NE(null_arena, nullptr);
-  EXPECT_EQ(null_arena->host(), nullptr);  // stages nothing
-  null_arena->Prefault(size_t{1} << 16);   // no-ops by contract
-  null_arena->Reset();
+  WorkerDeviceOptions options;
+  options.threads = 2;
+  const auto device = MakeDevice("cpu", &fix.registry, options);
+  ASSERT_NE(device, nullptr);
+  const BatchAssembler assembler(&fix.registry);
+  for (int node = 0; node < 2; ++node) {
+    const BatchedTask task = StepTask(static_cast<uint64_t>(node + 1), type, ids, node);
+    GatheredBatch gathered = device->Gather(task, device_states, nullptr);
+    std::optional<std::vector<Tensor>> outputs = device->Execute(task, std::move(gathered));
+    ASSERT_TRUE(outputs.has_value());
+    device->Scatter(task, device_states, *outputs, nullptr);
+    assembler.ExecuteTask(task, reference_states);
+  }
+  for (size_t r = 0; r < ids.size(); ++r) {
+    for (int node = 0; node < 2; ++node) {
+      const auto& got = device_states[r]->node_outputs[static_cast<size_t>(node)];
+      const auto& want = reference_states[r]->node_outputs[static_cast<size_t>(node)];
+      ASSERT_EQ(got.size(), want.size());
+      ASSERT_FALSE(got.empty());
+      for (size_t o = 0; o < got.size(); ++o) {
+        EXPECT_TRUE(BitwiseEqual(got[o], want[o]))
+            << "request " << ids[r] << " node " << node << " output " << o;
+      }
+    }
+  }
 }
 
 // A task mixing poisoned and clean entries gathers zero rows for the
 // poisoned ones (their producer failed and wrote nothing) and the
 // producers' rows for the clean ones.
-TEST(CpuBackendTest, GatherZeroFillsPoisonedRowsBesideCleanOnes) {
+TEST(CpuDeviceTest, GatherZeroFillsPoisonedRowsBesideCleanOnes) {
   TinyLstmFixture fix;
   const CellTypeId type = fix.model.cell_type();
   const CellDef& def = fix.registry.def(type);
-  CpuBackend cpu(&fix.registry, Precision::kF32);
+  const auto device = MakeDevice("cpu", &fix.registry);
+  ASSERT_NE(device, nullptr);
   Rng rng(7);
 
   // Step 1 of two 2-step chains; only the first chain's step 0 produced.
-  BatchedTask task;
-  task.id = 1;
-  task.type = type;
-  std::vector<std::unique_ptr<RequestState>> owned;
-  std::vector<RequestState*> states;
-  for (RequestId id : {RequestId{1}, RequestId{2}}) {
-    auto state = std::make_unique<RequestState>();
-    state->id = id;
-    state->graph = fix.model.Unfold(2);
-    for (int e = 0; e < 4; ++e) {  // x0, x1, h0, c0
-      state->externals.push_back(Tensor::RandomUniform(Shape{1, 4}, 1.0f, &rng));
-    }
-    state->node_outputs.resize(2);
-    task.entries.push_back(TaskEntry{id, 1});
-    states.push_back(state.get());
-    owned.push_back(std::move(state));
-  }
+  const std::vector<RequestId> ids = {1, 2};
+  const auto owned = MakeStates(fix, ids, 2, /*seed=*/7);
+  const std::vector<RequestState*> states = Raw(owned);
+  const BatchedTask task = StepTask(1, type, ids, /*node=*/1);
   for (int o = 0; o < def.NumOutputs(); ++o) {
     states[0]->node_outputs[0].push_back(Tensor::RandomUniform(Shape{1, 4}, 1.0f, &rng));
   }
   const std::vector<uint8_t> poisoned = {0, 1};
 
-  const auto arena = cpu.CreateArena();
-  GatheredBatch gathered;
-  cpu.Gather(task, states, &gathered, arena.get(), &poisoned);
+  GatheredBatch gathered = device->Gather(task, states, &poisoned);
   ASSERT_EQ(gathered.inputs.size(), static_cast<size_t>(def.NumInputs()));
   const CellNode& node = states[0]->graph.node(1);
   for (int slot = 0; slot < def.NumInputs(); ++slot) {
@@ -246,42 +164,83 @@ TEST(CpuBackendTest, GatherZeroFillsPoisonedRowsBesideCleanOnes) {
       EXPECT_EQ(in.At(1, c), 0.0f) << "slot " << slot;
     }
   }
-  gathered.inputs.clear();
-  arena->Reset();
+  // Execute consumes the staged rows and recycles the arena.
+  EXPECT_TRUE(device->Execute(task, std::move(gathered)).has_value());
 }
 
-// ---- Null backend queue ----------------------------------------------------
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
 
-BatchedTask MakeTask(uint64_t id, CellTypeId type, int batch) {
-  BatchedTask task;
-  task.id = id;
-  task.type = type;
-  for (int i = 0; i < batch; ++i) {
-    task.entries.push_back(TaskEntry{static_cast<RequestId>(100 + i), i});
+// Stages a `rows`-row batch of zeros, caps this process's address space
+// at its current size and executes the batch on `device`. Returns 0 when
+// the task produced nothing, 1 when it produced outputs, 2 when the cap
+// could not be set.
+int ExecuteUnderAddressSpaceCap(WorkerDevice* device, const CellDef& def,
+                                const BatchedTask& task) {
+  GatheredBatch gathered;
+  for (int i = 0; i < def.NumInputs(); ++i) {
+    std::vector<int64_t> dims{task.BatchSize()};
+    for (int64_t d : def.input_spec(i).row_shape.dims()) {
+      dims.push_back(d);
+    }
+    gathered.inputs.push_back(Tensor::Zeros(Shape(std::move(dims))));
   }
-  return task;
+  long pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const rlim_t bytes = static_cast<rlim_t>(pages) * static_cast<rlim_t>(sysconf(_SC_PAGESIZE));
+  const rlimit cap{bytes, bytes};
+  if (pages <= 0 || setrlimit(RLIMIT_AS, &cap) != 0) {
+    return 2;
+  }
+  return device->Execute(task, std::move(gathered)).has_value() ? 1 : 0;
 }
 
-TEST(NullBackendTest, QueueReturnsZeroOutputsShapedForTheBatch) {
+// A cell that throws makes the task produce nothing. The cell is made to
+// throw the way a real one does, with std::bad_alloc: in a child process
+// whose address space is capped at its current size, the cell's
+// intermediates for a 2^18-row batch cannot be allocated.
+TEST(CpuDeviceDeathTest, ThrowingCellProducesNothing) {
+  if (kSanitized) {
+    GTEST_SKIP() << "sanitizer allocators abort on exhaustion instead of throwing";
+  }
+  TinyLstmFixture fix;
+  BatchedTask task;
+  task.id = 1;
+  task.type = fix.model.cell_type();
+  task.entries.resize(size_t{1} << 18);
+  const auto device = MakeDevice("cpu", &fix.registry);
+  ASSERT_NE(device, nullptr);
+  EXPECT_EXIT(
+      std::_Exit(ExecuteUnderAddressSpaceCap(device.get(), fix.registry.def(task.type), task)),
+      ::testing::ExitedWithCode(0), "");
+}
+
+// ---- null device ------------------------------------------------------------
+
+TEST(NullDeviceTest, OutputsAreZerosShapedForTheBatch) {
   TinyLstmFixture fix;
   const CellTypeId type = fix.model.cell_type();
   const CellDef& def = fix.registry.def(type);
-  NullBackend backend(&fix.registry, /*latency_micros=*/0.0);
-  const auto queue = backend.CreateQueue(DeviceQueueOptions{});
-  ASSERT_NE(queue, nullptr);
+  const auto device = MakeDevice("null", &fix.registry);
+  ASSERT_NE(device, nullptr);
 
-  const GatheredBatch empty_gather;  // !requires_gather: nothing staged
   for (int batch : {1, 3}) {
-    const DeviceEventPtr event = queue->Submit(MakeTask(1, type, batch), empty_gather);
-    ASSERT_NE(event, nullptr);
-    EXPECT_TRUE(event->Signaled());  // zero latency: ready immediately
-    event->Wait();
-    EXPECT_FALSE(event->failed());
-    const std::vector<Tensor> outputs = event->TakeOutputs();
-    ASSERT_EQ(outputs.size(), static_cast<size_t>(def.NumOutputs()));
+    BatchedTask task;
+    task.id = 1;
+    task.type = type;
+    task.entries.resize(static_cast<size_t>(batch));
+    GatheredBatch gathered = device->Gather(task, {}, nullptr);
+    EXPECT_TRUE(gathered.inputs.empty());  // reads no input rows
+    const std::optional<std::vector<Tensor>> outputs =
+        device->Execute(task, std::move(gathered));
+    ASSERT_TRUE(outputs.has_value());
+    ASSERT_EQ(outputs->size(), static_cast<size_t>(def.NumOutputs()));
     for (int i = 0; i < def.NumOutputs(); ++i) {
       const ValueType& vt = def.output_type(i);
-      const Tensor& out = outputs[static_cast<size_t>(i)];
+      const Tensor& out = (*outputs)[static_cast<size_t>(i)];
       ASSERT_EQ(out.shape().dims().size(), vt.shape.dims().size() + 1);
       EXPECT_EQ(out.shape().Dim(0), batch);
       for (size_t d = 0; d < vt.shape.dims().size(); ++d) {
@@ -296,52 +255,53 @@ TEST(NullBackendTest, QueueReturnsZeroOutputsShapedForTheBatch) {
   }
 }
 
-TEST(NullBackendTest, FixedLatencyCompletionsArriveInSubmissionOrder) {
+TEST(NullDeviceTest, CompletionsArriveInOrderEachAfterTheLatency) {
   TinyLstmFixture fix;
-  const CellTypeId type = fix.model.cell_type();
-  NullBackend backend(&fix.registry, /*latency_micros=*/15000.0);
-  const auto queue = backend.CreateQueue(DeviceQueueOptions{});
-  ASSERT_NE(queue, nullptr);
-
-  const GatheredBatch empty_gather;
-  const DeviceEventPtr first = queue->Submit(MakeTask(1, type, 1), empty_gather);
-  const DeviceEventPtr second = queue->Submit(MakeTask(2, type, 1), empty_gather);
-  EXPECT_FALSE(first->Signaled());
-  EXPECT_FALSE(second->Signaled());
-  // FIFO per queue: once the later submission is ready, the earlier one
-  // must be too (its deadline is no later).
-  second->Wait();
-  EXPECT_TRUE(first->Signaled());
-  first->Wait();
-  EXPECT_FALSE(first->failed());
+  WorkerDeviceOptions options;
+  options.null_latency_micros = 15000.0;
+  const auto device = MakeDevice("null", &fix.registry, options);
+  ASSERT_NE(device, nullptr);
+  using Clock = std::chrono::steady_clock;
+  std::vector<std::pair<Clock::time_point, Clock::time_point>> spans;
+  for (uint64_t id : {1, 2}) {
+    BatchedTask task;
+    task.id = id;
+    task.type = fix.model.cell_type();
+    task.entries.resize(1);
+    const Clock::time_point start = Clock::now();
+    EXPECT_TRUE(device->Execute(task, device->Gather(task, {}, nullptr)).has_value());
+    spans.emplace_back(start, Clock::now());
+  }
+  for (const auto& span : spans) {
+    const std::chrono::duration<double, std::micro> took = span.second - span.first;
+    EXPECT_GE(took.count(), 15000.0);
+  }
+  EXPECT_LE(spans[0].second, spans[1].first);
 }
 
-// ---- Sim backend pricing ---------------------------------------------------
+// ---- device names -----------------------------------------------------------
 
-TEST(SimBackendTest, PricesTasksThroughTheCostModel) {
+TEST(WorkerDeviceTest, OnlyCpuAndNullAreDevices) {
+  EXPECT_NE(FindWorkerDevice("cpu"), nullptr);
+  EXPECT_NE(FindWorkerDevice("null"), nullptr);
+  EXPECT_EQ(FindWorkerDevice("sim"), nullptr);
+  EXPECT_EQ(FindWorkerDevice("tpu"), nullptr);
+  EXPECT_EQ(FindWorkerDevice(""), nullptr);
+}
+
+TEST(WorkerDeviceDeathTest, ServerRejectsAnUnknownBackend) {
+  TinyLstmFixture fix;
+  ServerOptions options;
+  options.backend = "tpu";
+  EXPECT_DEATH({ Server server(&fix.registry, options); }, "unknown device backend 'tpu'");
+}
+
+TEST(WorkerDeviceDeathTest, SimEngineRejectsARealDevice) {
   TinyLstmFixture fix;
   CostModel cost;
-  for (CellTypeId t = 0; t < fix.registry.NumTypes(); ++t) {
-    cost.SetCurve(t, UnitCostCurve());
-  }
-  cost.SetMigrationPenaltyMicros(7.5);
-
-  SimBackend backend(&cost);
-  EXPECT_TRUE(backend.caps().virtual_time);
-  const CellTypeId type = fix.model.cell_type();
-  for (int batch : {1, 4, 16}) {
-    EXPECT_DOUBLE_EQ(backend.EstimateTaskMicros(type, batch),
-                     cost.TaskMicros(type, batch));
-    EXPECT_GE(backend.EstimateTaskMicros(type, batch), 0.0);
-  }
-  EXPECT_DOUBLE_EQ(backend.EstimateMigrationPenaltyMicros(), 7.5);
-}
-
-TEST(SimBackendTest, RealComputeBackendsDeclineVirtualTimePricing) {
-  TinyLstmFixture fix;
-  CpuBackend cpu(&fix.registry, Precision::kF32);
-  // < 0 = cannot price: SimWorkerPool refuses such backends up front.
-  EXPECT_LT(cpu.EstimateTaskMicros(fix.model.cell_type(), 4), 0.0);
+  SimEngineOptions options;
+  options.backend = "cpu";
+  EXPECT_DEATH({ SimEngine sim(&fix.registry, &cost, options); }, "backend 'cpu' runs on Server");
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "src/device/sim_backend.h"
 #include "src/runtime/cost_model.h"
 #include "src/runtime/event_queue.h"
 #include "src/runtime/sim_worker.h"
@@ -209,11 +208,10 @@ class SimWorkerPoolTest : public ::testing::Test {
 
   EventQueue events_;
   CostModel model_;
-  SimBackend backend_{&model_};
 };
 
 TEST_F(SimWorkerPoolTest, ExecutesSubmittedTask) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   std::vector<uint64_t> done;
   pool.set_on_task_done([&](const BatchedTask& t) { done.push_back(t.id); });
   pool.Submit(0, MakeTask(7));
@@ -223,7 +221,7 @@ TEST_F(SimWorkerPoolTest, ExecutesSubmittedTask) {
 }
 
 TEST_F(SimWorkerPoolTest, StreamIsFifoAndSequential) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   std::vector<std::pair<uint64_t, double>> done;
   pool.set_on_task_done([&](const BatchedTask& t) { done.emplace_back(t.id, events_.Now()); });
   pool.Submit(0, MakeTask(1));
@@ -238,7 +236,7 @@ TEST_F(SimWorkerPoolTest, StreamIsFifoAndSequential) {
 }
 
 TEST_F(SimWorkerPoolTest, IdleFiresWhenStreamDrains) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   int idle_count = 0;
   pool.set_on_idle([&](int worker) {
     EXPECT_EQ(worker, 0);
@@ -251,7 +249,7 @@ TEST_F(SimWorkerPoolTest, IdleFiresWhenStreamDrains) {
 }
 
 TEST_F(SimWorkerPoolTest, TaskStartFiresBeforeDone) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   std::vector<std::string> log;
   pool.set_on_task_start([&](const BatchedTask&) { log.push_back("start@" + std::to_string(events_.Now())); });
   pool.set_on_task_done([&](const BatchedTask&) { log.push_back("done@" + std::to_string(events_.Now())); });
@@ -264,7 +262,7 @@ TEST_F(SimWorkerPoolTest, TaskStartFiresBeforeDone) {
 }
 
 TEST_F(SimWorkerPoolTest, WorkersRunInParallel) {
-  SimWorkerPool pool(2, &events_, &backend_);
+  SimWorkerPool pool(2, &events_, &model_);
   std::vector<double> done_times;
   pool.set_on_task_done([&](const BatchedTask&) { done_times.push_back(events_.Now()); });
   pool.Submit(0, MakeTask(1));
@@ -276,7 +274,7 @@ TEST_F(SimWorkerPoolTest, WorkersRunInParallel) {
 }
 
 TEST_F(SimWorkerPoolTest, ExplicitCostOverridesModel) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   BatchedTask task = MakeTask(1);
   task.explicit_cost_micros = 42.0;
   pool.Submit(0, std::move(task));
@@ -284,8 +282,50 @@ TEST_F(SimWorkerPoolTest, ExplicitCostOverridesModel) {
   EXPECT_DOUBLE_EQ(events_.Now(), 42.0);
 }
 
+// Without an explicit cost, each task is priced by its type's curve in the
+// CostModel, back to back on the stream.
+TEST_F(SimWorkerPoolTest, PricesTasksThroughTheCostModel) {
+  model_.SetCurve(1, CostCurve({{1, 10.0}, {16, 40.0}}));
+  SimWorkerPool pool(1, &events_, &model_);
+  std::vector<double> done_at;
+  pool.set_on_task_done([&](const BatchedTask&) { done_at.push_back(events_.Now()); });
+  double expected = 0.0;
+  std::vector<double> expected_at;
+  for (int batch : {1, 4, 16}) {
+    BatchedTask task = MakeTask(static_cast<uint64_t>(batch), batch);
+    task.type = 1;
+    pool.Submit(0, std::move(task));
+    EXPECT_GE(model_.TaskMicros(1, batch), 0.0);
+    expected += model_.TaskMicros(1, batch);
+    expected_at.push_back(expected);
+  }
+  events_.RunAll();
+  ASSERT_EQ(done_at.size(), expected_at.size());
+  for (size_t i = 0; i < done_at.size(); ++i) {
+    EXPECT_DOUBLE_EQ(done_at[i], expected_at[i]) << "task " << i;
+  }
+}
+
+// Each migrated subgraph adds the CostModel's state-copy penalty (paper
+// §4.3), on top of a priced or an explicit cost.
+TEST_F(SimWorkerPoolTest, MigratedSubgraphsPayTheMigrationPenalty) {
+  model_.SetMigrationPenaltyMicros(7.5);
+  SimWorkerPool pool(1, &events_, &model_);
+  BatchedTask priced = MakeTask(1);
+  priced.migrated_subgraphs = 2;
+  pool.Submit(0, std::move(priced));
+  events_.RunAll();
+  EXPECT_DOUBLE_EQ(events_.Now(), 100.0 + 2 * 7.5);
+  BatchedTask explicit_cost = MakeTask(2);
+  explicit_cost.explicit_cost_micros = 42.0;
+  explicit_cost.migrated_subgraphs = 1;
+  pool.Submit(0, std::move(explicit_cost));
+  events_.RunAll();
+  EXPECT_DOUBLE_EQ(events_.Now(), 115.0 + 42.0 + 7.5);
+}
+
 TEST_F(SimWorkerPoolTest, SubmitFromDoneCallbackContinuesStream) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   int completions = 0;
   pool.set_on_task_done([&](const BatchedTask& t) {
     ++completions;
@@ -300,7 +340,7 @@ TEST_F(SimWorkerPoolTest, SubmitFromDoneCallbackContinuesStream) {
 }
 
 TEST_F(SimWorkerPoolTest, AccountingCounters) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   pool.Submit(0, MakeTask(1, /*batch=*/4));
   pool.Submit(0, MakeTask(2, /*batch=*/2));
   events_.RunAll();
@@ -310,7 +350,7 @@ TEST_F(SimWorkerPoolTest, AccountingCounters) {
 }
 
 TEST_F(SimWorkerPoolTest, FindIdleWorker) {
-  SimWorkerPool pool(2, &events_, &backend_);
+  SimWorkerPool pool(2, &events_, &model_);
   EXPECT_EQ(pool.FindIdleWorker(), 0);
   pool.Submit(0, MakeTask(1));
   EXPECT_EQ(pool.FindIdleWorker(), 1);
@@ -321,7 +361,7 @@ TEST_F(SimWorkerPoolTest, FindIdleWorker) {
 }
 
 TEST_F(SimWorkerPoolTest, QueueDepthTracksStream) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   EXPECT_EQ(pool.QueueDepth(0), 0);
   pool.Submit(0, MakeTask(1));
   pool.Submit(0, MakeTask(2));

@@ -9,7 +9,9 @@
 // arrival (exactly one once drained), no request owned by two shards, only
 // never-scheduled requests migrate, and each worker's outstanding count
 // matches the tasks actually in flight and stays within
-// 0..pipeline_depth.
+// 0..pipeline_depth - 1 + max_tasks_to_submit (a stream below the
+// watermark receives one whole Schedule result, Algorithm 1's
+// MaxTasksToSubmit).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,6 +38,7 @@ struct ExplorerConfig {
   int num_workers = 2;
   int pipeline_depth = 2;
   int requests = 24;
+  int max_tasks_to_submit = 1;
 };
 
 // The fake world: per-shard inboxes, per-worker FIFO streams and a
@@ -50,9 +54,9 @@ class Explorer : public ShardTransport {
     options.num_workers = config.num_workers;
     options.num_shards = config.num_shards;
     options.pipeline_depth = config.pipeline_depth;
-    // One task per Schedule call: a refill below the watermark then tops a
-    // stream up to exactly pipeline_depth.
-    options.scheduler.max_tasks_to_submit = 1;
+    // A refill below the watermark hands over up to this many tasks, so at
+    // 1 a stream is topped up to exactly pipeline_depth.
+    options.scheduler.max_tasks_to_submit = config.max_tasks_to_submit;
     options.scheduler.max_node_retries = 2;
     options.admission.queue_timeout_micros = 40.0;
     options.batch_policy.slack_batching = rng_.NextBelow(2) == 0;
@@ -63,6 +67,7 @@ class Explorer : public ShardTransport {
     stream_.resize(static_cast<size_t>(config.num_workers));
     poison_.resize(static_cast<size_t>(config.num_workers));
     in_flight_.assign(static_cast<size_t>(config.num_workers), 0);
+    held_.resize(static_cast<size_t>(config.num_workers));
     health_.assign(static_cast<size_t>(config.num_workers), Health::kRunning);
     for (int s = 0; s < config.num_shards; ++s) {
       const int begin = s * config.num_workers / config.num_shards;
@@ -224,6 +229,14 @@ class Explorer : public ShardTransport {
       return;
     }
     const int w = busy[rng_.NextBelow(busy.size())];
+    CompletionMsg msg = RunHead(w);
+    in_flight_[static_cast<size_t>(w)]++;
+    inbox_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(w)])].push_back(
+        std::move(msg));
+  }
+
+  // Worker w runs the head of its stream; returns the completion to send.
+  CompletionMsg RunHead(int w) {
     CompletionMsg msg;
     msg.task = std::move(stream_[static_cast<size_t>(w)].front());
     stream_[static_cast<size_t>(w)].pop_front();
@@ -248,9 +261,30 @@ class Explorer : public ShardTransport {
       msg.victim_entry =
           static_cast<int>(rng_.NextBelow(static_cast<uint64_t>(msg.task.BatchSize())));
     }
-    in_flight_[static_cast<size_t>(w)]++;
+    return msg;
+  }
+
+  // The Server's hung-worker race: worker w hangs inside the head of its
+  // stream and is quarantined. It finishes the task only after its
+  // re-admission is requested, and the completion reaches the inbox behind
+  // the ReadmitMsg — on the Server, complete() clears the busy marker
+  // before it pushes, so the watchdog's idle probe can get in first.
+  void HangInsideTask(int w) {
+    held_[static_cast<size_t>(w)] = RunHead(w);
+    health_[static_cast<size_t>(w)] = Health::kQuarantineSent;
     inbox_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(w)])].push_back(
-        std::move(msg));
+        QuarantineMsg{w, false, {}});
+  }
+
+  // Sends the completion a hung worker held back (after its ReadmitMsg).
+  void ReleaseHeld(int w) {
+    std::optional<CompletionMsg>& held = held_[static_cast<size_t>(w)];
+    if (held.has_value()) {
+      in_flight_[static_cast<size_t>(w)]++;
+      inbox_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(w)])].push_back(
+          std::move(*held));
+      held.reset();
+    }
   }
 
   // Moves virtual time forward and wakes every shard whose wake-up passed.
@@ -286,6 +320,10 @@ class Explorer : public ShardTransport {
     if (health == Health::kQuarantined) {
       health = Health::kReadmitSent;
       inbox_[owner].push_back(ReadmitMsg{w});
+      ReleaseHeld(w);
+    } else if (health == Health::kRunning && !stream_[static_cast<size_t>(w)].empty() &&
+               rng_.NextBelow(2) == 0) {
+      HangInsideTask(w);
     } else if (health == Health::kRunning) {
       health = Health::kQuarantineSent;
       inbox_[owner].push_back(QuarantineMsg{w, false, {}});
@@ -299,6 +337,7 @@ class Explorer : public ShardTransport {
         health_[w] = Health::kReadmitSent;
         inbox_[static_cast<size_t>(shard_of_worker_[w])].push_back(
             ReadmitMsg{static_cast<int>(w)});
+        ReleaseHeld(static_cast<int>(w));
         return false;
       }
     }
@@ -338,10 +377,12 @@ class Explorer : public ShardTransport {
     for (int w = 0; w < config_.num_workers; ++w) {
       const int outstanding = OwnerOf(w).Outstanding(w);
       const int actual = static_cast<int>(stream_[static_cast<size_t>(w)].size()) +
-                         in_flight_[static_cast<size_t>(w)];
-      if (outstanding != actual || outstanding < 0 || outstanding > config_.pipeline_depth) {
+                         in_flight_[static_cast<size_t>(w)] +
+                         (held_[static_cast<size_t>(w)].has_value() ? 1 : 0);
+      const int bound = config_.pipeline_depth - 1 + config_.max_tasks_to_submit;
+      if (outstanding != actual || outstanding < 0 || outstanding > bound) {
         ADD_FAILURE() << "worker " << w << " outstanding " << outstanding << ", in flight "
-                      << actual << ", depth " << config_.pipeline_depth;
+                      << actual << ", bound " << bound;
         return false;
       }
     }
@@ -378,6 +419,8 @@ class Explorer : public ShardTransport {
   std::vector<std::set<std::pair<RequestId, int>>> poison_;
   // Completion messages sent but not yet delivered, per worker.
   std::vector<int> in_flight_;
+  // Per worker: the completion of the task a hung worker is inside.
+  std::vector<std::optional<CompletionMsg>> held_;
   // A worker stops running tasks when its quarantine is requested and
   // resumes when the owning shard handles the re-admission. As with the
   // Server's watchdog, re-admission is requested only after the shard
@@ -394,12 +437,16 @@ TEST(ShardManagerTest, RandomInterleavingsKeepManagerInvariants) {
       {.num_shards = 2, .num_workers = 3, .pipeline_depth = 2},
       {.num_shards = 3, .num_workers = 4, .pipeline_depth = 2},
   };
-  for (uint64_t seed = 1; seed <= 300; ++seed) {
-    const ExplorerConfig& config = configs[seed % 3];
-    Explorer explorer(seed, config);
-    ASSERT_TRUE(explorer.Run()) << "seed " << seed << " (" << config.num_shards
-                                << " shards, " << config.num_workers << " workers, depth "
-                                << config.pipeline_depth << ")";
+  for (int max_tasks : {1, 2, 5}) {
+    for (uint64_t seed = 1; seed <= 300; ++seed) {
+      ExplorerConfig config = configs[seed % 3];
+      config.max_tasks_to_submit = max_tasks;
+      Explorer explorer(seed, config);
+      ASSERT_TRUE(explorer.Run()) << "seed " << seed << " (" << config.num_shards
+                                  << " shards, " << config.num_workers << " workers, depth "
+                                  << config.pipeline_depth << ", max_tasks_to_submit "
+                                  << max_tasks << ")";
+    }
   }
 }
 

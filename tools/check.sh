@@ -43,8 +43,6 @@ echo "==> api: removed pre-unification submission surface stays gone"
 # ServerOptions admission fields, positional deadline/terminate arguments)
 # was deprecated for one release and is now removed. Nothing in-tree —
 # sources and headers, including the conformance test — may mention it.
-# DeviceEvent::TakeOutputs() is the (different) live API; the removed
-# SyncEngine member was a dot-call, hence the '\.TakeOutputs(' pattern.
 deprecated=$(grep -rn --include='*.cc' --include='*.cpp' --include='*.h' \
     -e '\.TakeOutputs(' \
     -e 'EffectiveAdmission(' \
@@ -56,6 +54,19 @@ deprecated=$(grep -rn --include='*.cc' --include='*.cpp' --include='*.h' \
 if [[ -n "$deprecated" ]]; then
   echo "removed API usage found (migrate to SubmitOptions / EngineOptions.admission):" >&2
   echo "$deprecated" >&2
+  exit 1
+fi
+
+echo "==> device: the asynchronous device seam stays gone"
+# Each worker runs its stream on one synchronous WorkerDevice
+# (src/device/worker_device.h); the fence, staging-arena, capability-flag,
+# registry and sim-backend layer it replaced must not come back.
+seam=$(grep -rn --include='*.cc' --include='*.cpp' --include='*.h' \
+    -e 'Device\(Registry\|Event\|Caps\|Arena\)' -e 'Sim\(Backend\)' \
+    src examples bench tests tools || true)
+if [[ -n "$seam" ]]; then
+  echo "removed device-seam API found (use WorkerDevice / CostModel):" >&2
+  echo "$seam" >&2
   exit 1
 fi
 
