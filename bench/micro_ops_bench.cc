@@ -119,15 +119,27 @@ void BM_GatherRows(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherRows)->Arg(16)->Arg(64)->Arg(256);
 
+// The gate activations on [rows, cols] inputs in [-4, 4]; [32, 1024] is one
+// h=256 LSTM step's four gates at b=32.
 void BM_Sigmoid(benchmark::State& state) {
   Rng rng(4);
-  const Tensor a = Tensor::RandomUniform(Shape{64, 4096}, 1.0f, &rng);
+  const Tensor a = Tensor::RandomUniform(Shape{state.range(0), state.range(1)}, 4.0f, &rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sigmoid(a));
   }
   state.SetItemsProcessed(state.iterations() * a.NumElements());
 }
-BENCHMARK(BM_Sigmoid);
+BENCHMARK(BM_Sigmoid)->Args({32, 1024})->Args({64, 4096});
+
+void BM_Tanh(benchmark::State& state) {
+  Rng rng(4);
+  const Tensor a = Tensor::RandomUniform(Shape{state.range(0), state.range(1)}, 4.0f, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Tanh(a));
+  }
+  state.SetItemsProcessed(state.iterations() * a.NumElements());
+}
+BENCHMARK(BM_Tanh)->Args({32, 1024})->Args({64, 4096});
 
 void BM_EmbeddingLookup(benchmark::State& state) {
   Rng rng(5);

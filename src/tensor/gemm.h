@@ -149,12 +149,26 @@ bool GemmUsesSimd();
 // Reflects the BM_GEMM_KERNEL env override / forced tier.
 const char* GemmKernelName(Precision p = Precision::kF32);
 
+// CPU feature bits of the dispatch mask.
+enum CpuFeature : unsigned {
+  kCpuAvx2Fma = 1u << 0,
+  kCpuAvx512f = 1u << 1,
+  kCpuAvx512Bf16 = 1u << 2,
+  kCpuAvx512Vnni = 1u << 3,
+};
+
+// The feature mask the dispatcher resolved its kernels from: cpuid, capped
+// by BM_GEMM_KERNEL or GemmForceTierForTest. The vectorized activations
+// (src/tensor/vec_math.h) pick their tier from the same mask.
+unsigned DispatchCpuFeatures();
+
 // Re-runs dispatch with the feature set capped at `tier` (one of "scalar",
 // "avx2", "avx512", "avx512_bf16", "avx512_vnni", "native"; nullptr/empty
 // or "native" restores full auto-detection). The cap is intersected with
 // what cpuid actually reports — forcing a tier the CPU lacks clamps to the
-// best supported subset, never to an illegal-instruction crash. Test-only:
-// not thread-safe against concurrent GEMM calls.
+// best supported subset, never to an illegal-instruction crash. Also moves
+// the activation tier. Test-only: not thread-safe against concurrent GEMM
+// or activation calls.
 void GemmForceTierForTest(const char* tier);
 
 }  // namespace batchmaker

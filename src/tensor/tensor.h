@@ -88,6 +88,9 @@ class Tensor {
   std::string DebugString(int64_t max_elements = 16) const;
 
  private:
+  // Arena storage is zero-filled only when `zero_fill`; owned storage always.
+  Tensor(Shape shape, DType dtype, bool zero_fill);
+
   Shape shape_;
   DType dtype_;
   // Owned storage (empty when borrowed_ is set).
